@@ -7,9 +7,17 @@ every mechanism built on top — collision detection, tamper detection,
 cache-tree roots — is that the function is a deterministic keyed PRF,
 which BLAKE2b provides.
 
-Inputs are fed through a small canonical serialization so that distinct
-tuples can never collide structurally (every part is tagged and
-length-prefixed).
+Two message formats feed it:
+
+* :func:`keyed_hash` / :func:`mac54` take a tuple of ints, bytes and
+  strings through a small canonical serialization (every part tagged
+  and length-prefixed, so distinct tuples never collide structurally).
+  The Merkle, cache-tree and BMT callers use it.
+* The SIT node MAC, the data-line MAC and the OTP pad hash one
+  fixed-width message each, built by the module that owns it
+  (:mod:`repro.tree.sit`, :mod:`repro.crypto.otp`) and digested through
+  :class:`KeyedBlake2b`. Their domain bytes lie outside the serializer's
+  tag range, so no message of one format equals one of the other.
 """
 
 from __future__ import annotations
@@ -28,9 +36,9 @@ _STR_TAG = b"\x03"
 
 
 def _serialize(parts: Iterable[HashPart]) -> bytes:
-    # exact-type dispatch on the hot path (every MAC computation runs
-    # through here); subclasses and rejects take the isinstance slow
-    # path in _serialize_other
+    # exact-type dispatch on the hot path (every Merkle and cache-tree
+    # hash runs through here); subclasses and rejects take the
+    # isinstance slow path in _serialize_other
     chunks: List[bytes] = []
     append = chunks.append
     for part in parts:
@@ -89,25 +97,12 @@ def mac54(key: bytes, *parts: HashPart) -> int:
     return mac_n(key, MAC_BITS, *parts)
 
 
-def hash_bytes(key: bytes, nbytes: int, *parts: HashPart) -> bytes:
-    """A keyed hash of arbitrary output length (for OTP keystreams)."""
-    if not 1 <= nbytes <= 64:
-        raise ValueError("BLAKE2b digests are limited to 64 bytes")
-    return hashlib.blake2b(
-        _serialize(parts), key=key, digest_size=nbytes
-    ).digest()
-
-
-# ----------------------------------------------------------------------
-# hot-path helpers: same bytes, same digests, less interpreter work
-# ----------------------------------------------------------------------
 # Keying BLAKE2b pads the key into the first compression block, so
 # constructing hashlib.blake2b(key=...) per message re-does that work
 # every call. A prototype object absorbs the key once; .copy() restores
 # the keyed state for ~a third of the construction cost. Identical
 # digests by construction (the message argument is just a first
-# update()), pinned by tests/test_hashing.py.
-
+# update()), pinned by tests/test_crypto.py.
 class KeyedBlake2b:
     """A reusable keyed-BLAKE2b instance: pay for the key once."""
 
@@ -120,52 +115,3 @@ class KeyedBlake2b:
         state = self._proto.copy()
         state.update(message)
         return state.digest()
-
-
-# Serialized int parts are dominated by values < 256 (levels, slots,
-# LSBs, young counters); precompute their full tag+length+body encoding.
-_INT_PART_MEMO = tuple(
-    _INT_TAG + b"\x00\x00\x00\x01" + bytes((value,))
-    for value in range(256)
-)
-
-# Wider values (node indices, grown counters) recur heavily too — every
-# MAC over a metadata node re-encodes the same indices. Memoize them in
-# a bounded dict; the population is capped by the geometry (node
-# indices) plus the live counter values, so the limit is rarely hit.
-_WIDE_PART_MEMO: dict = {}
-_WIDE_PART_LIMIT = 1 << 17
-
-
-def encode_int_part(value: int) -> bytes:
-    """The canonical serialization of one non-negative int part.
-
-    Byte-identical to what :func:`_serialize` emits for the same value
-    (pinned by tests), but callable piecewise so hot paths can assemble
-    known-shape messages without the generic dispatch loop.
-    """
-    if 0 <= value < 256:
-        return _INT_PART_MEMO[value]
-    if value < 0:
-        raise ValueError("hash inputs must be non-negative ints")
-    encoded = _WIDE_PART_MEMO.get(value)
-    if encoded is None:
-        size = (value.bit_length() + 7) // 8
-        encoded = (
-            _INT_TAG + size.to_bytes(4, "big") + value.to_bytes(size, "big")
-        )
-        if len(_WIDE_PART_MEMO) >= _WIDE_PART_LIMIT:
-            _WIDE_PART_MEMO.clear()
-        _WIDE_PART_MEMO[value] = encoded
-    return encoded
-
-
-def encode_str_part(value: str) -> bytes:
-    """Canonical serialization of one str part (for message prefixes)."""
-    body = value.encode("utf-8")
-    return _STR_TAG + len(body).to_bytes(4, "big") + body
-
-
-def encode_bytes_part(value: bytes) -> bytes:
-    """Canonical serialization of one bytes part."""
-    return _BYTES_TAG + len(value).to_bytes(4, "big") + value

@@ -289,7 +289,6 @@ class Scheduler:
 
     def __init__(self, store: ResultStore, jobs: int = 1,
                  timeout_s: Optional[float] = None, retries: int = 2,
-                 backoff_s: float = 0.5,
                  backoff: Optional[BackoffPolicy] = None,
                  clock: Optional[Clock] = None,
                  stats: Optional[Stats] = None,
@@ -301,9 +300,7 @@ class Scheduler:
         self.jobs = max(1, jobs)
         self.timeout_s = timeout_s
         self.retries = max(0, retries)
-        # ``backoff_s`` is the legacy linear knob; a full policy wins
-        self.backoff = (backoff if backoff is not None
-                        else BackoffPolicy("linear", base_s=backoff_s))
+        self.backoff = backoff if backoff is not None else BackoffPolicy()
         self.clock = clock if clock is not None else Clock()
         self.stats = stats if stats is not None else store.stats
         self.poll_interval_s = poll_interval_s

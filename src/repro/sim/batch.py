@@ -31,11 +31,6 @@ What the fusion changes, and why it is safe:
   monoid, so the merged result is identical to per-call observation.
   Gauges likewise: the engine tracks the running level and peak
   locally and stores value + high-watermark at the end.
-* **Inlined pure functions** — MAC minting, pad derivation and memo
-  lookups run inline against the authenticator's own caches; the bytes
-  hashed and the digests produced are exactly those of
-  :mod:`repro.tree.sit` / :mod:`repro.crypto.otp` (pinned by the
-  parity suite; the serialization helpers are shared).
 * **Scheme-hook elision** — hooks a scheme inherits from
   :class:`~repro.schemes.base.PersistenceScheme` are no-ops by
   definition and are skipped; overridden hooks are called at the same
@@ -65,12 +60,7 @@ from __future__ import annotations
 import gc as _gc
 from typing import List, Optional, Sequence
 
-from repro.config import COUNTER_BITS, LSB_BITS, MAC_BITS
-from repro.crypto.hashing import (
-    _INT_PART_MEMO,
-    encode_int_part,
-    encode_str_part,
-)
+from repro.config import COUNTER_BITS, LSB_BITS
 from repro.errors import IntegrityError, RecoveryError
 from repro.mem.cache import CacheLine, EvictionDeadlock
 from repro.mem.nvm import NVM
@@ -85,7 +75,6 @@ except ImportError:  # pragma: no cover - numpy ships with the image
     _np = None
 
 _LSB_MASK = mask(LSB_BITS)
-_MAC_MASK = mask(MAC_BITS)
 _COUNTER_LIMIT = 1 << COUNTER_BITS
 
 DEFAULT_EPOCH = 256
@@ -321,19 +310,11 @@ class EpochEngine:
         )
         cascade_acc: dict = {}
 
-        # ---------------- bindings: crypto (inlined pure functions) ---
-        # The caches, prototypes and serialization helpers are the
-        # authenticator's / cipher engine's own; the bytes hashed are
-        # exactly those of sit.node_mac / sit.data_mac / otp._derive_pad.
+        # ---------------- bindings: crypto ----------------
         auth = ctrl.auth
         node_mac = auth.node_mac
         data_mac = auth.data_mac
-        nmac_cache = auth._node_mac_cache
-        dmac_cache = auth._data_mac_cache
-        mac_limit = auth._CACHE_LIMIT
-        mac_proto_copy = auth._prf._proto.copy
-        enc = encode_int_part
-        m256 = _INT_PART_MEMO  # enc()'s own small-int table, inlined
+        one_time_pad = ctrl.cme.one_time_pad
         # frozen-image construction bypasses the dataclass __init__ +
         # __post_init__ pair: every field below is valid by construction
         # (counters are width-checked at increment, MACs and LSBs are
@@ -341,20 +322,6 @@ class EpochEngine:
         # times per 300-op cell
         obj_new = object.__new__
         obj_set = object.__setattr__
-        node_prefix = encode_str_part("sit-node")
-        data_prefix = encode_str_part("sit-data")
-        cme = ctrl.cme
-        line_size = cme.line_size
-        zero_line = bytes(line_size)
-        pad_cache = cme._pad_cache
-        pad_limit = cme._PAD_CACHE_LIMIT
-        pad_proto_copy = cme._prf._proto.copy
-        fast_pad = line_size == 64
-        derive_pad = cme._derive_pad
-        otp_prefix = encode_str_part("otp")
-        block0 = enc(0)
-        # encode_bytes_part(ciphertext) for the fixed line size
-        ct_prefix = b"\x02" + line_size.to_bytes(4, "big")
 
         # ---------------- bindings: NVM ----------------
         nvm = ctrl.nvm
@@ -547,13 +514,8 @@ class EpochEngine:
                 verifications += 1
                 counters = image.counters
                 lsbs = image.lsbs
-                mac = nmac_cache.get(
-                    (level, index, counters, parent_counter, lsbs)
-                )
-                if mac is None:
-                    mac = node_mac((level, index), counters,
-                                   parent_counter, lsbs)
-                if mac != image.mac:
+                if node_mac((level, index), counters, parent_counter,
+                            lsbs) != image.mac:
                     raise IntegrityError(
                         "MAC mismatch fetching metadata node %r"
                         % ((level, index),)
@@ -631,24 +593,7 @@ class EpochEngine:
             addr = level_offsets[level] + index
             lsbs = parent_counter & _LSB_MASK
             counters = tuple(cached.counters)
-            cache_key = (level, index, counters, parent_counter, lsbs)
-            mac = nmac_cache.get(cache_key)
-            if mac is None:
-                if len(nmac_cache) >= mac_limit:
-                    nmac_cache.clear()
-                chunks = [node_prefix, m256[level],
-                          m256[index] if index < 256 else enc(index)]
-                for counter in counters:
-                    chunks.append(m256[counter] if counter < 256
-                                  else enc(counter))
-                chunks.append(m256[parent_counter] if parent_counter < 256
-                              else enc(parent_counter))
-                chunks.append(m256[lsbs] if lsbs < 256 else enc(lsbs))
-                state = mac_proto_copy()
-                state.update(b"".join(chunks))
-                mac = nmac_cache[cache_key] = (
-                    int.from_bytes(state.digest(), "big") & _MAC_MASK
-                )
+            mac = node_mac((level, index), counters, parent_counter, lsbs)
             image = obj_new(NodeImage)
             obj_set(image, "counters", counters)
             obj_set(image, "mac", mac)
@@ -749,43 +694,15 @@ class EpochEngine:
             pins.clear()
 
         def make_data_image(addr: int, counter: int) -> DataLineImage:
-            """Inlined encrypt + data-MAC mint for a zeroed line.
+            """Encrypt + data-MAC mint for a zeroed line.
 
             XORing the pad with an all-zero plaintext returns the pad
             itself, so the scalar ``cme.encrypt`` round-trip through
             int conversion is skipped; the bytes are identical.
             """
-            pad_key = (addr, counter)
-            ciphertext = pad_cache.get(pad_key)
-            if ciphertext is None:
-                if fast_pad:
-                    state = pad_proto_copy()
-                    state.update(
-                        otp_prefix + enc(addr)
-                        + (m256[counter] if counter < 256 else enc(counter))
-                        + block0
-                    )
-                    ciphertext = state.digest()
-                else:  # pragma: no cover - non-64-byte line configs
-                    ciphertext = derive_pad(addr, counter)
-                if len(pad_cache) >= pad_limit:
-                    pad_cache.clear()
-                pad_cache[pad_key] = ciphertext
+            ciphertext = one_time_pad(addr, counter)
             lsbs = counter & _LSB_MASK
-            mac_key = (addr, ciphertext, counter, lsbs)
-            mac = dmac_cache.get(mac_key)
-            if mac is None:
-                if len(dmac_cache) >= mac_limit:
-                    dmac_cache.clear()
-                state = mac_proto_copy()
-                state.update(
-                    data_prefix + enc(addr) + ct_prefix + ciphertext
-                    + (m256[counter] if counter < 256 else enc(counter))
-                    + (m256[lsbs] if lsbs < 256 else enc(lsbs))
-                )
-                mac = dmac_cache[mac_key] = (
-                    int.from_bytes(state.digest(), "big") & _MAC_MASK
-                )
+            mac = data_mac(addr, ciphertext, counter, lsbs)
             image = obj_new(DataLineImage)
             obj_set(image, "ciphertext", ciphertext)
             obj_set(image, "mac", mac)
@@ -869,10 +786,7 @@ class EpochEngine:
                     return
                 ciphertext = image.ciphertext
                 lsbs = image.lsbs
-                mac = dmac_cache.get((addr, ciphertext, counter, lsbs))
-                if mac is None:
-                    mac = data_mac(addr, ciphertext, counter, lsbs)
-                if mac != image.mac:
+                if data_mac(addr, ciphertext, counter, lsbs) != image.mac:
                     raise IntegrityError(
                         "MAC mismatch reading data line %d" % addr
                     )

@@ -3,19 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import LINE_SIZE, MAC_BITS
-from repro.crypto.hashing import (
-    KeyedBlake2b,
-    _serialize,
-    encode_bytes_part,
-    encode_int_part,
-    encode_str_part,
-    hash_bytes,
-    keyed_hash,
-    mac54,
-    mac_n,
-)
-from repro.crypto.otp import CounterModeEngine
+from repro.config import COUNTER_BITS, LINE_SIZE, LSB_BITS, MAC_BITS
+from repro.crypto.hashing import KeyedBlake2b, keyed_hash, mac54, mac_n
+from repro.crypto.otp import CounterModeEngine, pad_message
+from repro.tree.sit import SITAuthenticator, data_message, node_message
+from repro.util.bitfield import unpack_fields
 
 KEY = b"test-key"
 OTHER_KEY = b"other-key"
@@ -66,13 +58,6 @@ class TestMacTruncation:
     def test_mac_n_width(self):
         assert mac_n(KEY, 10, "x") < 1 << 10
 
-    def test_hash_bytes_length(self):
-        assert len(hash_bytes(KEY, 32, "x")) == 32
-
-    def test_hash_bytes_rejects_oversize(self):
-        with pytest.raises(ValueError):
-            hash_bytes(KEY, 65, "x")
-
     @given(st.integers(min_value=0, max_value=2 ** 32),
            st.integers(min_value=0, max_value=2 ** 32))
     @settings(max_examples=50)
@@ -81,37 +66,24 @@ class TestMacTruncation:
             assert keyed_hash(KEY, a) != keyed_hash(KEY, b)
 
 
-class TestFastPathEquivalence:
-    """The hot-path helpers must be byte-identical to the generic path.
+def _field(bits):
+    return st.integers(min_value=0, max_value=(1 << bits) - 1)
 
-    ``SITAuthenticator`` and ``CounterModeEngine`` assemble their hash
-    messages from these piecewise encoders and a prototype-copied keyed
-    BLAKE2b; every MAC and pad in the repo depends on these producing
-    exactly the bytes ``_serialize``/``mac54``/``hash_bytes`` would.
-    """
 
-    @given(st.integers(min_value=0, max_value=2 ** 80))
-    @settings(max_examples=200)
-    def test_int_part_matches_serialize(self, value):
-        assert encode_int_part(value) == _serialize((value,))
+_LINES = st.binary(min_size=LINE_SIZE, max_size=LINE_SIZE)
+_NODE_WIDTHS = [8, 64] + [COUNTER_BITS] * 8 + [COUNTER_BITS, LSB_BITS]
 
-    def test_int_part_boundaries(self):
-        for value in (0, 1, 255, 256, 65535, 65536, 2 ** 54 - 1, 2 ** 64):
-            assert encode_int_part(value) == _serialize((value,))
 
-    def test_int_part_rejects_negative(self):
-        with pytest.raises(ValueError):
-            encode_int_part(-1)
+def _decode(message, widths):
+    """The fields of a fixed-width message, MSB first."""
+    return unpack_fields(int.from_bytes(message[1:], "big"), widths)
 
-    @given(st.text(max_size=32))
-    @settings(max_examples=50)
-    def test_str_part_matches_serialize(self, value):
-        assert encode_str_part(value) == _serialize((value,))
 
-    @given(st.binary(max_size=80))
-    @settings(max_examples=50)
-    def test_bytes_part_matches_serialize(self, value):
-        assert encode_bytes_part(value) == _serialize((value,))
+class TestMessageFormats:
+    """The node MAC, data MAC and pad each hash one fixed-width,
+    big-endian message: a domain byte, then every field at its
+    paper width. The messages must be injective, like the tagged
+    serializer they replaced."""
 
     @given(st.binary(min_size=0, max_size=200))
     @settings(max_examples=50)
@@ -124,50 +96,90 @@ class TestFastPathEquivalence:
         # the prototype is not consumed: a second digest still matches
         assert prf.digest(message) == fresh.digest()
 
-    @given(st.integers(min_value=0, max_value=4),
-           st.integers(min_value=0, max_value=2 ** 20),
-           st.lists(st.integers(min_value=0, max_value=2 ** 30),
-                    min_size=8, max_size=8),
-           st.integers(min_value=0, max_value=2 ** 30),
-           st.integers(min_value=0, max_value=1023))
-    @settings(max_examples=50)
-    def test_node_mac_matches_mac54(self, level, index, counters,
-                                    parent_counter, lsbs):
-        from repro.tree.sit import SITAuthenticator
-
+    def test_data_mac_known_answer(self):
         auth = SITAuthenticator(KEY)
-        assert auth.node_mac((level, index), counters,
-                             parent_counter, lsbs) == \
-            mac54(KEY, "sit-node", level, index, *counters,
-                  parent_counter, lsbs)
+        assert auth.data_mac(7, bytes(range(64)), 3, 3) == 0x2CF0113C35A3D0
 
-    @given(st.integers(min_value=0, max_value=2 ** 20),
-           st.binary(min_size=LINE_SIZE, max_size=LINE_SIZE),
-           st.integers(min_value=0, max_value=2 ** 40),
-           st.integers(min_value=0, max_value=1023))
-    @settings(max_examples=50)
-    def test_data_mac_matches_mac54(self, address, ciphertext,
-                                    counter, lsbs):
-        from repro.tree.sit import SITAuthenticator
+    def test_pad_known_answer(self):
+        assert CounterModeEngine(KEY).one_time_pad(7, 3).hex() == (
+            "abad81dba51fd320b43a402f89b94885e5e7a73991d5e4c0325b06eb1970"
+            "ed9687e30c9f5d6bc4feb33f80c3b2b864f2b0a9609e397fe5ca90d1f45e"
+            "f2dc08db"
+        )
 
-        auth = SITAuthenticator(KEY)
-        assert auth.data_mac(address, ciphertext, counter, lsbs) == \
-            mac54(KEY, "sit-data", address, ciphertext, counter, lsbs)
+    def test_domains_and_lengths(self):
+        assert node_message(0, 0, (0,) * 8, 0, 0) == b"N" + bytes(74)
+        assert data_message(0, bytes(64), 0, 0) == b"D" + bytes(81)
+        assert pad_message(0, 0) == b"P" + bytes(17)
 
-    @given(st.integers(min_value=0, max_value=2 ** 30),
-           st.integers(min_value=0, max_value=2 ** 40))
-    @settings(max_examples=50)
-    def test_line_pad_matches_hash_bytes(self, address, counter):
-        engine = CounterModeEngine(KEY)
-        assert engine.one_time_pad(address, counter) == \
-            hash_bytes(KEY, 64, "otp", address, counter, 0)
+    # decoding each message back to its fields proves that distinct
+    # in-width field tuples never share a message
+    @given(_field(8), _field(64), st.lists(_field(COUNTER_BITS),
+                                           min_size=8, max_size=8),
+           _field(COUNTER_BITS), _field(LSB_BITS))
+    @settings(max_examples=100)
+    def test_node_message_is_injective(self, level, index, counters,
+                                       parent_counter, lsbs):
+        message = node_message(level, index, counters, parent_counter,
+                               lsbs)
+        assert _decode(message, _NODE_WIDTHS) == [
+            level, index, *counters, parent_counter, lsbs]
 
-    def test_oversize_line_pad_unchanged(self):
-        engine = CounterModeEngine(KEY, line_size=100)
-        pad = engine.one_time_pad(3, 5)
-        expected = (hash_bytes(KEY, 64, "otp", 3, 5, 0)
-                    + hash_bytes(KEY, 64, "otp", 3, 5, 1))[:100]
-        assert pad == expected
+    @given(_field(64), _LINES, _field(COUNTER_BITS), _field(LSB_BITS))
+    @settings(max_examples=100)
+    def test_data_message_is_injective(self, address, ciphertext,
+                                       counter, lsbs):
+        message = data_message(address, ciphertext, counter, lsbs)
+        assert message[-LINE_SIZE:] == ciphertext
+        fields = _decode(message[:-LINE_SIZE], [64, COUNTER_BITS,
+                                                LSB_BITS])
+        assert fields == [address, counter, lsbs]
+
+    @given(_field(64), _field(72))
+    @settings(max_examples=100)
+    def test_pad_message_is_injective(self, address, counter):
+        assert _decode(pad_message(address, counter), [64, 72]) == [
+            address, counter]
+
+    @pytest.mark.parametrize("field, bits", [
+        (0, 8), (1, 64), (2, COUNTER_BITS), (3, COUNTER_BITS),
+        (4, LSB_BITS),
+    ])
+    @pytest.mark.parametrize("overflow", [False, True])
+    def test_node_field_outside_its_width_is_rejected(self, field, bits,
+                                                      overflow):
+        args = [1, 2, [3] * 8, 4, 5]
+        value = (1 << bits) if overflow else -1
+        if field == 2:
+            args[2] = [3] * 7 + [value]
+        else:
+            args[field] = value
+        with pytest.raises(ValueError):
+            node_message(*args)
+
+    @pytest.mark.parametrize("field, bits", [
+        (0, 64), (2, COUNTER_BITS), (3, LSB_BITS),
+    ])
+    @pytest.mark.parametrize("overflow", [False, True])
+    def test_data_field_outside_its_width_is_rejected(self, field, bits,
+                                                      overflow):
+        args = [1, bytes(LINE_SIZE), 2, 3]
+        args[field] = (1 << bits) if overflow else -1
+        with pytest.raises(ValueError):
+            data_message(*args)
+
+    @pytest.mark.parametrize("args", [
+        (1 << 64, 0), (-1, 0), (0, 1 << 72), (0, -1),
+    ])
+    def test_pad_field_outside_its_width_is_rejected(self, args):
+        with pytest.raises(ValueError):
+            pad_message(*args)
+
+    def test_wrong_counter_count_or_line_size_is_rejected(self):
+        with pytest.raises(ValueError):
+            node_message(0, 0, (0,) * 7, 0, 0)
+        with pytest.raises(ValueError):
+            data_message(0, bytes(LINE_SIZE - 1), 0, 0)
 
 
 class TestCounterModeEngine:

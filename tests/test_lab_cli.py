@@ -2,11 +2,15 @@
 in process."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.lab.cli import main
+from repro.lab.gridfile import BUILTIN_GRIDS
 from repro.lab.store import ResultStore
+
+GRIDS = Path(__file__).resolve().parent.parent / "grids"
 
 
 @pytest.fixture()
@@ -50,6 +54,11 @@ class TestRun:
         assert run_cli("run", "--grid", "no-such-grid",
                        "--store", str(tmp_path / "lab")) == 2
         assert "no grid named" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["paper", "table2", "fig14b"])
+    def test_builtin_grid_matches_its_grid_file(self, name):
+        with open(GRIDS / ("%s.json" % name)) as handle:
+            assert BUILTIN_GRIDS[name] == json.load(handle)
 
 
 class TestInterruptResumeExport:

@@ -104,7 +104,8 @@ class TestFailurePaths:
         payload = {"version": 1}
         report, stats, clock, scheduler = self._run(
             {spec.spec_hash: [("error", "boom"), ("ok", payload)]},
-            [spec], root=tmp_path / "lab", retries=2, backoff_s=5.0,
+            [spec], root=tmp_path / "lab", retries=2,
+            backoff=BackoffPolicy("linear", base_s=5.0),
         )
         assert report.completed == 1 and report.failed == 0
         assert stats.get("lab.jobs.retried") == 1
@@ -132,7 +133,8 @@ class TestFailurePaths:
         report, stats, _clock, scheduler = self._run(
             {spec.spec_hash: [None, ("ok", {"version": 1})]},
             [spec], root=tmp_path / "lab",
-            timeout_s=1.0, retries=1, backoff_s=0.0,
+            timeout_s=1.0, retries=1,
+            backoff=BackoffPolicy("linear", base_s=0.0),
         )
         assert report.completed == 1
         assert stats.get("lab.jobs.timeouts") == 1
@@ -143,7 +145,8 @@ class TestFailurePaths:
         spec = real_specs(count=1)[0]
         report, stats, _clock, scheduler = self._run(
             {spec.spec_hash: [("error", "a\nboom")] * 3},
-            [spec], root=tmp_path / "lab", retries=2, backoff_s=0.0,
+            [spec], root=tmp_path / "lab", retries=2,
+            backoff=BackoffPolicy("linear", base_s=0.0),
         )
         assert report.failed == 1 and not report.ok
         assert report.failures[0]["attempts"] == 3

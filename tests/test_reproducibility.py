@@ -19,6 +19,7 @@ import pytest
 from repro.config import small_config
 from repro.crypto.hashing import keyed_hash
 from repro.sim.machine import Machine
+from repro.tree.sit import SITAuthenticator
 from repro.workloads.capture import format_op
 from repro.workloads.registry import make_workload
 
@@ -54,6 +55,14 @@ def test_crypto_is_frozen():
     """The MAC construction itself is part of the reproducibility
     contract (it determines every image and root in the system)."""
     assert keyed_hash(b"key", "probe", 7) == 0x0181D94D323B57AE
+
+
+def test_node_mac_is_frozen():
+    """The SIT node MAC hashes the packed 64-byte-line message; its
+    value pins both the layout and the keyed digest."""
+    auth = SITAuthenticator(b"key")
+    mac = auth.node_mac((2, 17), range(10, 18), 0x5AB, 0x1AB)
+    assert mac == 0x1129EF1A48A50E
 
 
 def test_simulation_is_deterministic_end_to_end():
