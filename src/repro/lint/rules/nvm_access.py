@@ -28,7 +28,11 @@ The NVM class itself (``repro/mem/nvm.py``) is the counted API and is
 exempt; the sanctioned uncounted accessors it exports (``peek_*``,
 ``flush_*``, ``tamper_*``, ``data_lines``, ``meta_lines``,
 ``st_slots``, ``*_is_touched``) are the escape hatch for oracles,
-battery flushes and attackers. The batched epoch engine
+battery flushes and attackers — and for a recovery that uses
+``data_lines``/``meta_lines`` to *choose* what to read, as long as it
+charges every read it skips through the counted API (Phoenix's probe
+charges its untouched counter blocks with
+``NVM.read_untouched_blocks``). The batched epoch engine
 (``repro/sim/batch.py``) is the second counted implementation of the
 same API — it binds the region dicts *and* their traffic counters
 locally and bumps both together, with scalar parity enforced by

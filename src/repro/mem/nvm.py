@@ -174,6 +174,33 @@ class NVM:
     def meta_is_touched(self, meta_index: int) -> bool:
         return meta_index in self._meta
 
+    def read_untouched_blocks(self, geometry, start: int,
+                              stop: int) -> None:
+        """Count the probe of counter blocks ``start..stop-1`` in bulk.
+
+        Charges exactly what calling :meth:`read_meta` on each block's
+        level-0 line and then :meth:`read_data` on each of its children
+        would: the same counters and, when tracing, the same trace
+        entries in the same order. The caller guarantees that none of
+        these lines was ever written, so every read would return the
+        zero state and nothing is returned here. Level-0 lines come
+        first in the flat metadata order, so block ``b`` is line ``b``.
+        """
+        if self.trace is not None:
+            # the address feed needs every line: replay them one by one
+            for block in range(start, stop):
+                self.read_meta(block)
+                for line in geometry.children_of((0, block)):
+                    self.read_data(line)
+            return
+        if start >= stop:
+            return
+        self._c_meta_reads.value += stop - start
+        self._c_data_reads.value += (
+            min(stop * geometry.arity, geometry.num_data_lines)
+            - start * geometry.arity
+        )
+
     # ------------------------------------------------------------------
     # recovery area (spilled bitmap lines)
     # ------------------------------------------------------------------

@@ -56,6 +56,15 @@ class StartGapRemapper:
             physical += 1
         return physical
 
+    def logical_of(self, physical: int) -> int:
+        """Physical slot -> logical line (inverse of :meth:`translate`;
+        the gap slot holds no line)."""
+        if not 0 <= physical <= self.num_lines or physical == self.gap:
+            raise ValueError("physical slot %d holds no line" % physical)
+        if physical > self.gap:
+            physical -= 1
+        return (physical - self.start) % self.num_lines
+
     def note_write(self) -> Optional[Tuple[int, int]]:
         """Account one write; when this write triggers a gap move,
         returns the (source, destination) physical slots of the
@@ -111,6 +120,12 @@ class WearLevelingNVM(NVM):
 
     def tamper_data(self, line: int, image: DataLineImage) -> None:
         super().tamper_data(self.remapper.translate(line), image)
+
+    def data_lines(self):
+        """All touched *logical* data lines, ascending — the numbering
+        that :meth:`peek_data` and :meth:`tamper_data` take."""
+        logical_of = self.remapper.logical_of
+        return sorted(logical_of(slot) for slot in super().data_lines())
 
     def write_data(self, line: int, image: DataLineImage) -> None:
         super().write_data(self.remapper.translate(line), image)

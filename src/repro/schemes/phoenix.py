@@ -14,6 +14,16 @@ blocks and intermediate tree nodes". This implementation reproduces
 that contrast: Phoenix lands between Anubis and STAR in write traffic,
 and its recovery must probe every counter block (it cannot tell stale
 from fresh ones) where STAR walks its bitmap index.
+
+That probe is the *modelled* cost and stays whole: every counter block
+and every child data line is charged as a counted NVM read, which is
+the Fig. 14(b) contrast. The *host* cost scales with the touched lines
+instead. A block none of whose lines was ever written (no data child,
+no persisted image, no shadow-table restore) reads as zeros and probes
+to zeros, so :meth:`PhoenixScheme.recover` probes only the other blocks
+line by line and charges each run of untouched blocks in one
+:meth:`~repro.mem.nvm.NVM.read_untouched_blocks` call, with the same
+counters and trace entries the per-line reads would have produced.
 """
 
 from __future__ import annotations
@@ -42,6 +52,11 @@ class PhoenixScheme(AnubisScheme):
             raise ValueError("persist stride must be >= 1")
         self.persist_stride = persist_stride
         self._block_writes: Dict[int, int] = {}
+
+    def attach(self, controller) -> None:
+        super().attach(controller)
+        # the stride counts are controller state: a reboot loses them
+        self._block_writes.clear()
 
     # ------------------------------------------------------------------
     # runtime: shadow only the tree levels; relax the counter blocks
@@ -81,12 +96,24 @@ class PhoenixScheme(AnubisScheme):
         probe_failures = 0
         probed_stale = 0
         probed_blocks = geometry.level_counts[0]
+        # Only blocks with a written child or a written image (an ST
+        # restore writes one too) can probe to anything but their zero
+        # image; the rest are charged their reads in bulk. Level-0
+        # lines come first in the flat metadata order, so block b is
+        # metadata line b.
+        arity = geometry.arity
+        live = {line // arity for line in nvm.data_lines()}
+        live.update(nvm.meta_lines())
         stats = nvm.stats
         with stats.span("recovery.phoenix.probe",
                         blocks=probed_blocks) as probe_span:
-            for index in range(probed_blocks):
-                block_id = (0, index)
-                line = geometry.meta_index(block_id)
+            next_block = 0
+            for line in sorted(live):
+                if line >= probed_blocks:
+                    break
+                nvm.read_untouched_blocks(geometry, next_block, line)
+                next_block = line + 1
+                block_id = (0, line)
                 stale, _touched = nvm.read_meta(line)
                 counters, failures = self._probe_block(
                     machine, block_id, stale
@@ -106,6 +133,7 @@ class PhoenixScheme(AnubisScheme):
                 image = auth.make_node_image(block_id, counters,
                                              parent_counter)
                 nvm.write_meta(line, image)
+            nvm.read_untouched_blocks(geometry, next_block, probed_blocks)
             if probe_span is not None:
                 probe_span.attrs["failures"] = probe_failures
                 probe_span.attrs["stale"] = probed_stale

@@ -62,6 +62,22 @@ class TestContinueAfterRecover:
             free = sum(len(ways) for ways in scheme._free_ways.values())
             assert free == total_ways
 
+    def test_phoenix_stride_restarts_after_recover(self):
+        """The per-block write counts that pace Phoenix's periodic
+        persists are controller state: a reboot loses them, so after
+        recovery a block needs a full stride of writes again."""
+        machine = Machine(small_config(), scheme="phoenix",
+                          telemetry=False)
+        for _ in range(3):  # one short of the stride of 4
+            machine.controller.write_data(0)
+        machine.crash()
+        machine.recover(raise_on_failure=True)
+        machine.controller.write_data(0)
+        assert machine.stats["phoenix.periodic_persists"] == 0
+        for _ in range(3):
+            machine.controller.write_data(0)
+        assert machine.stats["phoenix.periodic_persists"] == 1
+
     def test_continuation_matches_reboot(self):
         """Continuing the same machine restores the same data a fresh
         boot on the surviving NVM + registers would read."""

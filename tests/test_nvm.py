@@ -1,6 +1,9 @@
 """Unit tests for the NVM device model."""
 
+import pytest
+
 from repro.mem.nvm import NVM
+from repro.tree.geometry import TreeGeometry
 from repro.tree.node import DataLineImage, NodeImage
 
 
@@ -55,6 +58,49 @@ class TestMetaRegion:
         assert not nvm.meta_is_touched(9)
         nvm.write_meta(9, _node())
         assert nvm.meta_is_touched(9)
+
+
+class TestReadUntouchedBlocks:
+    """The bulk probe charge equals its per-line reads, read for read."""
+
+    @staticmethod
+    def _per_line(geometry, start, stop):
+        nvm = NVM()
+        nvm.trace = []
+        for block in range(start, stop):
+            nvm.read_meta(geometry.meta_index((0, block)))
+            for line in geometry.children_of((0, block)):
+                nvm.read_data(line)
+        return nvm
+
+    @pytest.mark.parametrize("num_data_lines,start,stop", [
+        (64, 0, 8),    # every block full
+        (61, 0, 8),    # the last block has 5 children
+        (61, 3, 8),
+        (61, 7, 8),    # only the short block
+        (61, 2, 5),
+        (9, 0, 2),     # the last block has 1 child
+    ])
+    def test_matches_per_line_reads(self, num_data_lines, start, stop):
+        geometry = TreeGeometry(num_data_lines)
+        single = self._per_line(geometry, start, stop)
+        traced = NVM()
+        traced.trace = []
+        traced.read_untouched_blocks(geometry, start, stop)
+        assert traced.trace == single.trace
+        counted = NVM()  # untraced: the counters move in bulk
+        counted.read_untouched_blocks(geometry, start, stop)
+        assert counted.stats.snapshot() == single.stats.snapshot()
+        assert traced.stats.snapshot() == single.stats.snapshot()
+
+    @pytest.mark.parametrize("trace", [None, []])
+    @pytest.mark.parametrize("block", [5, 8])  # 8: past the short block
+    def test_empty_range_charges_nothing(self, trace, block):
+        nvm = NVM()
+        nvm.trace = trace
+        nvm.read_untouched_blocks(TreeGeometry(61), block, block)
+        assert nvm.trace == trace
+        assert nvm.total_reads() == 0
 
 
 class TestRaAndSt:

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.config import small_config
+from repro.mem.wearlevel import WearLevelingNVM
+from repro.schemes.anubis import AnubisScheme
+from repro.schemes.base import RecoveryReport
+from repro.schemes.phoenix import PhoenixScheme
 from repro.sim.machine import Machine
+from repro.tree.node import NodeImage
 
 from conftest import run_small_workload
 
@@ -146,3 +151,188 @@ class TestRecovery:
         report = machine.recover()
         assert report.verified
         assert machine.oracle_check(report)
+
+
+class FullScanPhoenix(PhoenixScheme):
+    """Reference: the straightforward recovery that probes every counter
+    block with one counted read per line, untouched or not. The scheme
+    under test must match it read for read."""
+
+    def recover(self, machine):
+        node_report = AnubisScheme.recover(self, machine)
+        nvm = machine.nvm
+        geometry = machine.controller.geometry
+        auth = machine.controller.auth
+        reads_before = nvm.total_reads()
+        writes_before = nvm.total_writes()
+        restored = dict(node_report.restored)
+        probe_failures = 0
+        probed_stale = 0
+        probed_blocks = geometry.level_counts[0]
+        for index in range(probed_blocks):
+            block_id = (0, index)
+            line = geometry.meta_index(block_id)
+            stale, _touched = nvm.read_meta(line)
+            counters, failures = self._probe_block(machine, block_id,
+                                                   stale)
+            probe_failures += failures
+            if counters != stale.counters:
+                probed_stale += 1
+            elif line not in restored:
+                continue
+            restored[line] = counters
+            nvm.stats.event("recover_line", meta_index=line, level=0)
+            parent_counter = self._parent_counter_from(
+                machine, restored, block_id
+            )
+            nvm.write_meta(line, auth.make_node_image(
+                block_id, counters, parent_counter
+            ))
+        reads = (nvm.total_reads() - reads_before) + node_report.nvm_reads
+        writes = (nvm.total_writes() - writes_before) + \
+            node_report.nvm_writes
+        return RecoveryReport(
+            scheme=self.name,
+            stale_lines=node_report.stale_lines + probed_stale,
+            restored_lines=len(restored),
+            nvm_reads=reads,
+            nvm_writes=writes,
+            verified=node_report.verified and probe_failures == 0,
+            recovery_time_ns=(
+                (reads + writes) * machine.config.recovery_line_access_ns
+            ),
+            restored=restored,
+            st_restored_lines=node_report.restored_lines,
+            probed_blocks=probed_blocks,
+            probed_stale_lines=probed_stale,
+        )
+
+
+def _recovery_observables(machine, report):
+    stats = machine.recovery_stats
+    events = [
+        {key: value for key, value in event.items() if key != "t"}
+        for event in stats.registry.events.events()
+        if event["kind"] == "recover_line"
+    ]
+    return {
+        "report": report,
+        "counters": stats.snapshot(),
+        "probe_distance":
+            stats.registry.histogram("phoenix.probe_distance").to_dict(),
+        "recover_line": events,
+        "trace": machine.nvm.trace,
+        "meta": {line: machine.nvm.peek_meta(line)
+                 for line in machine.nvm.meta_lines()},
+    }
+
+
+def _erase(line):
+    def attack(machine):
+        machine.nvm._data.pop(line)
+    return attack
+
+
+def _tamper_unwritten_block(machine):
+    """A forged image on a counter block nothing ever wrote."""
+    geometry = machine.controller.geometry
+    block = geometry.level_counts[0] - 3
+    assert not machine.nvm.meta_is_touched(block)
+    machine.nvm.tamper_meta(block, NodeImage(
+        counters=(0, 2, 0, 0, 5, 0, 0, 0), mac=0, lsbs=0,
+    ))
+
+
+def _hammer(line, times):
+    def ops(machine):
+        for _ in range(times):
+            machine.controller.write_data(line)
+    return ops
+
+
+def _workload(name, operations, seed):
+    def ops(machine):
+        run_small_workload(machine, name, operations=operations,
+                           seed=seed)
+    return ops
+
+
+class TestProbeMatchesFullScan:
+    """The live-block probe is the full scan with the no-op blocks
+    charged in bulk: every observable of recovery must be identical."""
+
+    @staticmethod
+    def _cycle(machine, drive, attack):
+        drive(machine)
+        machine.crash()
+        if attack is not None:
+            attack(machine)
+        machine.nvm.trace = []
+        report = machine.recover()
+        observed = _recovery_observables(machine, report)
+        machine.nvm.trace = None
+        return observed
+
+    def _assert_same(self, drives, attack=None, config=None,
+                     gap_write_interval=0):
+        config = config or small_config()
+        observed = []
+        for scheme in (FullScanPhoenix(), PhoenixScheme()):
+            nvm = None
+            if gap_write_interval:
+                nvm = WearLevelingNVM(config.num_data_lines,
+                                      gap_write_interval)
+            machine = Machine(config, scheme=scheme, nvm=nvm)
+            observed.append([
+                self._cycle(machine, drive, attack if cycle == 0 else None)
+                for cycle, drive in enumerate(drives)
+            ])
+        reference, probed = observed
+        for expected, actual in zip(reference, probed):
+            for key in expected:
+                assert actual[key] == expected[key], key
+        return reference
+
+    @pytest.mark.parametrize("workload", ["hash", "array", "btree",
+                                          "queue"])
+    def test_clean_runs(self, workload):
+        (observed,) = self._assert_same([_workload(workload, 200, 4)])
+        assert observed["report"].probed_stale_lines > 0
+        assert observed["recover_line"]
+
+    def test_heavy_drift(self):
+        (observed,) = self._assert_same([_hammer(8, 37)])
+        assert observed["report"].verified
+        assert observed["probe_distance"]["count"] > 0
+
+    def test_erased_persisted_line(self):
+        (observed,) = self._assert_same([_hammer(0, 4)], _erase(0))
+        assert not observed["report"].verified
+
+    def test_erasure_before_first_persist(self):
+        (observed,) = self._assert_same([_hammer(0, 1)], _erase(0))
+        assert observed["report"].verified  # Phoenix's known gap
+
+    def test_tampered_never_written_block(self):
+        (observed,) = self._assert_same([_hammer(8, 2)],
+                                        _tamper_unwritten_block)
+        assert not observed["report"].verified
+
+    def test_second_crash_cycle(self):
+        self._assert_same([_workload("hash", 200, 5),
+                           _workload("queue", 120, 6)])
+
+    def test_wear_leveled_nvm(self):
+        """Liveness is judged on logical lines, the trace on physical
+        slots. Line 7 (block 0, never persisted) is pushed into
+        physical slot 8, which belongs to block 1's range."""
+        def drive(machine):
+            _hammer(7, 3)(machine)
+            _hammer(1000, 1020)(machine)  # sweeps the gap below line 7
+            assert machine.nvm.remapper.translate(7) == 8
+
+        (observed,) = self._assert_same(
+            [drive], config=small_config(memory_bytes=64 * 1024),
+            gap_write_interval=1,
+        )
+        assert observed["report"].restored[0][7] == 3

@@ -81,3 +81,51 @@ def test_simulation_is_deterministic_end_to_end():
                 sorted(report.restored.items()))
 
     assert run() == run()
+
+
+RECOVERY_TRAFFIC_DIGEST = "50c35425a71b8818"
+
+_REPORT_FIELDS = (
+    "nvm_reads", "nvm_writes", "recovery_time_ns", "stale_lines",
+    "restored_lines", "st_restored_lines", "probed_blocks",
+    "probed_stale_lines", "verified",
+)
+_REGION_COUNTERS = tuple(
+    "nvm.%s_%s" % (region, op)
+    for region in ("data", "meta", "ra", "st")
+    for op in ("reads", "writes")
+)
+
+
+def recovery_traffic_digest() -> str:
+    """Hash what recovery costs, not only what it restores: the report
+    fields and the per-region counted traffic of one recovery per case
+    (one crash per case, as in a fuzz campaign)."""
+    hasher = hashlib.blake2b(digest_size=8)
+    for scheme in ("star", "anubis", "phoenix"):
+        for workload_name, operations, seed in (("hash", 200, 11),
+                                                ("queue", 150, 3),
+                                                ("btree", 120, 5)):
+            machine = Machine(small_config(), scheme=scheme)
+            workload = make_workload(
+                workload_name, machine.config.num_data_lines,
+                operations=operations, seed=seed,
+            )
+            machine.run(workload.ops())
+            machine.crash()
+            report = machine.recover()
+            fields = [getattr(report, name) for name in _REPORT_FIELDS]
+            fields.append(sorted(report.restored.items()))
+            fields.extend(machine.recovery_stats.get(name)
+                          for name in _REGION_COUNTERS)
+            hasher.update(repr((scheme, workload_name, fields))
+                          .encode("ascii"))
+    return hasher.hexdigest()
+
+
+def test_recovery_traffic_is_frozen():
+    """Pins counted recovery traffic: a change that drops or adds
+    modelled reads or writes (e.g. a faster probe loop that forgets to
+    charge the blocks it skips) fails here even though the restored
+    counters are unchanged."""
+    assert recovery_traffic_digest() == RECOVERY_TRAFFIC_DIGEST

@@ -55,6 +55,10 @@ class TestRemapper:
         assert len(set(physical)) == lines
         assert all(0 <= slot <= lines for slot in physical)
         assert remapper.gap not in physical  # the gap stays empty
+        assert [remapper.logical_of(slot) for slot in physical] == \
+            list(range(lines))
+        with pytest.raises(ValueError):
+            remapper.logical_of(remapper.gap)
 
     @given(st.integers(min_value=2, max_value=10))
     @settings(max_examples=30, deadline=None)
@@ -112,6 +116,16 @@ class TestWearLevelingNVM:
         assert not nvm.migrate_data(5, 8)
         assert nvm.trace == []
         assert nvm.stats["nvm.data_reads"] == 0
+
+    def test_data_lines_are_logical(self):
+        """data_lines() numbers lines the way peek_data and tamper_data
+        take them, wherever the gap rotation moved them."""
+        nvm = WearLevelingNVM(8, gap_write_interval=1)
+        for line in (6, 1, 7):
+            nvm.write_data(line, _image(line))
+        assert nvm.data_lines() == [1, 6, 7]
+        for line in nvm.data_lines():
+            assert nvm.peek_data(line) == _image(line)
 
     def test_hot_line_wear_spread(self):
         """Hammering one logical line spreads across physical slots."""
