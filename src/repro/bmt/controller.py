@@ -20,11 +20,12 @@ from typing import Dict, List, Optional
 
 from repro.bmt.counters import CachedCounterBlock, SplitCounterImage
 from repro.bmt.tree import BMTGeometry, BMTHasher, rebuild_tree
-from repro.config import LINE_SIZE
+from repro.config import LINE_SIZE, PAPER_LINE_ACCESS_NS
 from repro.crypto.hashing import mac54
 from repro.crypto.otp import CounterModeEngine
 from repro.errors import IntegrityError, RecoveryError
 from repro.mem.nvm import NVM
+from repro.schemes.base import RecoveryReport, measure_recovery
 from repro.tree.node import DataLineImage
 from repro.util.stats import Stats
 
@@ -135,11 +136,15 @@ class BMTController:
         self._blocks.clear()
         self.crashed = True
 
-    def recover(self):
-        """Delegate to the scheme; returns its RecoveryReport."""
+    def recover(self) -> RecoveryReport:
+        """Delegate to the scheme; returns its report, with the counted
+        recovery traffic priced at the paper's per-line cost."""
         if not self.crashed:
             raise RecoveryError("recover called without a crash")
-        report = self.scheme.recover(self)
+        report = measure_recovery(
+            lambda: self.scheme.recover(self), self.nvm,
+            PAPER_LINE_ACCESS_NS,
+        )
         if report.verified:
             self.crashed = False
         return report

@@ -45,6 +45,8 @@ class BMTScheme:
         """Called after every data-line write."""
 
     def recover(self, controller) -> RecoveryReport:
+        """Restore the counter blocks and report what was restored;
+        :meth:`BMTController.recover` fills the traffic and time."""
         raise NotImplementedError
 
 
@@ -74,8 +76,6 @@ class OsirisScheme(BMTScheme):
     def recover(self, controller) -> RecoveryReport:
         nvm = controller.nvm
         geometry = controller.geometry
-        reads_before = nvm.total_reads()
-        writes_before = nvm.total_writes()
         restored_images: List[SplitCounterImage] = []
         probe_failures = 0
         for index in range(geometry.num_counter_blocks):
@@ -113,16 +113,11 @@ class OsirisScheme(BMTScheme):
         for index, image in enumerate(restored_images):
             nvm.write_meta(index, image)
             restored[index] = (image.major,) + image.minors
-        reads = nvm.total_reads() - reads_before
-        writes = nvm.total_writes() - writes_before
         return RecoveryReport(
             scheme=self.name,
             stale_lines=geometry.num_counter_blocks,
             restored_lines=len(restored_images),
-            nvm_reads=reads,
-            nvm_writes=writes,
             verified=verified,
-            recovery_time_ns=(reads + writes) * 100.0,
             restored=restored,
         )
 
@@ -185,22 +180,15 @@ class SuperMemScheme(BMTScheme):
 
     def recover(self, controller) -> RecoveryReport:
         """Write-through + ADR queue: nothing is ever stale."""
-        nvm = controller.nvm
-        geometry = controller.geometry
-        reads_before = nvm.total_reads()
         restored = {}
-        for index in range(geometry.num_counter_blocks):
+        for index in range(controller.geometry.num_counter_blocks):
             image = controller._nvm_block(index)
             restored[index] = (image.major,) + image.minors
-        reads = nvm.total_reads() - reads_before
         return RecoveryReport(
             scheme=self.name,
             stale_lines=0,
             restored_lines=len(restored),
-            nvm_reads=reads,
-            nvm_writes=0,
             verified=True,
-            recovery_time_ns=reads * 100.0,
             restored=restored,
         )
 
@@ -263,8 +251,6 @@ class TriadNvmScheme(BMTScheme):
         — possible for BMT, impossible for SIT (Section II-E)."""
         nvm = controller.nvm
         geometry = controller.geometry
-        reads_before = nvm.total_reads()
-        writes_before = nvm.total_writes()
         images: List[SplitCounterImage] = []
         for index in range(geometry.num_counter_blocks):
             images.append(controller._nvm_block(index))
@@ -279,15 +265,10 @@ class TriadNvmScheme(BMTScheme):
             index: (image.major,) + image.minors
             for index, image in enumerate(images)
         }
-        reads = nvm.total_reads() - reads_before
-        writes = nvm.total_writes() - writes_before
         return RecoveryReport(
             scheme=self.name,
             stale_lines=geometry.num_counter_blocks,
             restored_lines=len(images),
-            nvm_reads=reads,
-            nvm_writes=writes,
             verified=verified,
-            recovery_time_ns=(reads + writes) * 100.0,
             restored=restored,
         )

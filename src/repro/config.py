@@ -22,6 +22,9 @@ from repro.errors import ConfigError
 LINE_SIZE = 64
 """Bytes per memory line; everything in the paper is 64B-granular."""
 
+PAPER_LINE_ACCESS_NS = 100.0
+"""The per-64B-line NVM access cost the paper assumes (Section IV-F)."""
+
 TREE_ARITY = 8
 """SIT fanout: 8 counters per node, 8 children per node."""
 
@@ -170,7 +173,7 @@ class SystemConfig:
     nvm: NVMTimings = field(default_factory=NVMTimings)
     cpu: CPUConfig = field(default_factory=CPUConfig)
     star: StarConfig = field(default_factory=StarConfig)
-    recovery_line_access_ns: float = 100.0
+    recovery_line_access_ns: float = PAPER_LINE_ACCESS_NS
     crypto_key: bytes = b"star-reproduction-key"
     device_timing: bool = False
     """Opt-in bank-level PCM timing (``repro.mem.device``) instead of

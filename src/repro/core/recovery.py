@@ -16,49 +16,39 @@ Recovery proceeds in four phases:
 3. **Recompute MACs** — each restored node's MAC needs its parent's
    counter: taken from the restored set when the parent was itself stale,
    from NVM when it was clean, or from the on-chip SIT root for top-level
-   nodes. The restored image is written back to NVM.
+   nodes. :func:`~repro.schemes.base.restore_node` writes the restored
+   image back to NVM.
 4. **Verify** — the restored nodes are placed back into their cache sets,
    the set-MACs and the cache-tree root recomputed, and the root compared
    against the on-chip register. Any replay of (data, MAC, LSB) tuples or
    bitmap tampering during recovery yields a mismatch.
 
 Per stale node this touches ten lines (itself + eight children + parent)
-plus one write — the cost model behind Fig. 14(b).
+plus one write — the cost model behind Fig. 14(b). The caller counts
+and prices that traffic (:func:`~repro.schemes.base.measure_recovery`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.config import SystemConfig
 from repro.core.bitmap import locate_stale_lines
 from repro.core.cachetree import CacheTree
 from repro.core.index import MultiLayerIndex
 from repro.core.synergy import reconstruct_counter_observed
-from repro.errors import VerificationError
-from repro.mem.layout import MemoryLayout
 from repro.mem.nvm import NVM
-from repro.schemes.base import RecoveryReport
+from repro.schemes.base import RecoveryReport, restore_node
 from repro.tree.geometry import NodeId, TreeGeometry
-from repro.tree.sit import SITAuthenticator
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.registers import OnChipRegisters
 
 
-def recover_star(config: SystemConfig, nvm: NVM,
-                 registers: "OnChipRegisters",
-                 raise_on_failure: bool = False) -> RecoveryReport:
-    """Run STAR recovery against a crashed machine's NVM and registers."""
-    layout = MemoryLayout.from_config(config)
-    geometry = layout.geometry
-    auth = SITAuthenticator(config.crypto_key)
-    index = MultiLayerIndex(
-        geometry.total_nodes, config.star.bitmap_fanout
-    )
+def recover_star(machine, index: MultiLayerIndex) -> RecoveryReport:
+    """Run STAR recovery against a crashed machine's NVM and registers,
+    walking the scheme's multi-layer ``index``."""
+    config = machine.config
+    nvm = machine.nvm
+    registers = machine.registers
+    geometry = machine.controller.geometry
     stats = nvm.stats
-    reads_before = nvm.total_reads()
-    writes_before = nvm.total_writes()
 
     with stats.span("recovery.star") as root_span:
         # phase 1: locate the stale metadata, remembering which RA lines
@@ -68,7 +58,6 @@ def recover_star(config: SystemConfig, nvm: NVM,
             stale, nonzero_ra = locate_stale_lines(
                 index, nvm, registers.index_top_line
             )
-            stale_set = set(stale)
             if locate_span is not None:
                 locate_span.attrs["lines"] = len(stale)
         stats.observe("recovery.stale_batch", len(stale))
@@ -89,16 +78,10 @@ def recover_star(config: SystemConfig, nvm: NVM,
         restored_macs: Dict[int, int] = {}
         with stats.span("recovery.remac", lines=len(stale)):
             for line in stale:
-                node_id = geometry.node_at(line)
-                parent_counter = _parent_counter(
-                    geometry, nvm, registers, restored, stale_set,
-                    node_id
-                )
-                new_image = auth.make_node_image(
-                    node_id, restored[line], parent_counter
-                )
-                nvm.write_meta(line, new_image)
-                restored_macs[line] = new_image.mac
+                restored_macs[line] = restore_node(
+                    machine, geometry.node_at(line), restored[line],
+                    restored,
+                ).mac
 
         # phase 4: rebuild the cache-tree, verify against the register
         with stats.span("recovery.verify") as verify_span:
@@ -129,24 +112,14 @@ def recover_star(config: SystemConfig, nvm: NVM,
         if root_span is not None:
             root_span.attrs["verified"] = verified
 
-    reads = nvm.total_reads() - reads_before
-    writes = nvm.total_writes() - writes_before
-    report = RecoveryReport(
+    return RecoveryReport(
         scheme="star",
         stale_lines=len(stale),
         restored_lines=len(restored),
-        nvm_reads=reads,
-        nvm_writes=writes,
         verified=verified,
-        recovery_time_ns=(reads + writes) * config.recovery_line_access_ns,
         restored=restored,
         ra_lines_cleared=len(nonzero_ra) if verified else 0,
     )
-    if raise_on_failure and not verified:
-        raise VerificationError(
-            "cache-tree root mismatch: an attack occurred during recovery"
-        )
-    return report
 
 
 def _restore_counters(geometry: TreeGeometry, nvm: NVM, node_id: NodeId,
@@ -177,18 +150,3 @@ def _restore_counters(geometry: TreeGeometry, nvm: NVM, node_id: NodeId,
             )
     return tuple(counters)
 
-
-def _parent_counter(geometry: TreeGeometry, nvm: NVM,
-                    registers: "OnChipRegisters",
-                    restored: Dict[int, Tuple[int, ...]],
-                    stale_set: set, node_id: NodeId) -> int:
-    """The parent counter used to recompute a restored node's MAC."""
-    if geometry.is_top_level(node_id):
-        return registers.sit_root.counters[node_id[1]]
-    parent_id = geometry.parent_of(node_id)
-    parent_line = geometry.meta_index(parent_id)
-    slot = geometry.slot_in_parent(node_id)
-    if parent_line in stale_set:
-        return restored[parent_line][slot]
-    parent_image, _touched = nvm.read_meta(parent_line)
-    return parent_image.counters[slot]

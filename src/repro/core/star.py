@@ -60,6 +60,4 @@ class StarScheme(PersistenceScheme):
         self.bitmap.flush_on_power_failure()
 
     def recover(self, machine) -> RecoveryReport:
-        return recover_star(
-            machine.config, machine.nvm, machine.registers
-        )
+        return recover_star(machine, self.bitmap.index)

@@ -17,7 +17,7 @@ read.
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Dict, Optional
 
 from repro.errors import ConfigError
@@ -27,10 +27,9 @@ from repro.sim.results import RunResult
 
 PAYLOAD_VERSION = 1
 
-_RECOVERY_FIELDS = (
-    "scheme", "stale_lines", "restored_lines", "nvm_reads",
-    "nvm_writes", "verified", "recovery_time_ns", "ra_lines_cleared",
-    "st_restored_lines", "probed_blocks", "probed_stale_lines",
+_RECOVERY_FIELDS = tuple(
+    field.name for field in fields(RecoveryReport)
+    if field.name != "restored"
 )
 
 
@@ -44,8 +43,8 @@ def _recovery_payload(report: Optional[RecoveryReport]
     """
     if report is None:
         return None
-    fields = asdict(report)
-    return {name: fields[name] for name in _RECOVERY_FIELDS}
+    values = asdict(report)
+    return {name: values[name] for name in _RECOVERY_FIELDS}
 
 
 def _filter_stats(stats: Dict[str, int], spec: RunSpec

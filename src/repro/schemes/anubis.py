@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from repro.schemes.base import PersistenceScheme, RecoveryReport
+from repro.schemes.base import PersistenceScheme, RecoveryReport, restore_node
 from repro.tree.geometry import NodeId
 from repro.tree.node import CachedNode
 
@@ -106,15 +106,10 @@ class AnubisScheme(PersistenceScheme):
     # ------------------------------------------------------------------
     def recover(self, machine) -> RecoveryReport:
         nvm = machine.nvm
-        config = machine.config
         geometry = machine.controller.geometry
-        auth = machine.controller.auth
-        registers = machine.registers
         stats = nvm.stats
-        reads_before = nvm.total_reads()
-        writes_before = nvm.total_writes()
 
-        capacity = config.metadata_cache.num_lines
+        capacity = machine.config.metadata_cache.num_lines
         entries: Dict[int, ShadowEntry] = {}
         with stats.span("recovery.anubis.scan", slots=capacity):
             for st_slot in range(capacity):
@@ -131,42 +126,15 @@ class AnubisScheme(PersistenceScheme):
             for line in sorted(entries):
                 node_id = geometry.node_at(line)
                 nvm.read_meta(line)  # Anubis reads the shadowed node
-                parent_counter = self._parent_counter(
-                    geometry, nvm, registers, restored, node_id
-                )
-                image = auth.make_node_image(
-                    node_id, restored[line], parent_counter
-                )
-                nvm.write_meta(line, image)
+                restore_node(machine, node_id, restored[line], restored)
                 stats.event("recover_line", meta_index=line,
                             level=node_id[0])
 
-        reads = nvm.total_reads() - reads_before
-        writes = nvm.total_writes() - writes_before
         return RecoveryReport(
             scheme=self.name,
             stale_lines=len(entries),
             restored_lines=len(entries),
-            nvm_reads=reads,
-            nvm_writes=writes,
             verified=True,
-            recovery_time_ns=(
-                (reads + writes) * config.recovery_line_access_ns
-            ),
             restored=restored,
             st_restored_lines=len(entries),
         )
-
-    @staticmethod
-    def _parent_counter(geometry, nvm, registers,
-                        restored: Dict[int, Tuple[int, ...]],
-                        node_id: NodeId) -> int:
-        if geometry.is_top_level(node_id):
-            return registers.sit_root.counters[node_id[1]]
-        parent_id = geometry.parent_of(node_id)
-        parent_line = geometry.meta_index(parent_id)
-        slot = geometry.slot_in_parent(node_id)
-        if parent_line in restored:
-            return restored[parent_line][slot]
-        parent_image, _touched = nvm.read_meta(parent_line)
-        return parent_image.counters[slot]

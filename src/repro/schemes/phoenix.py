@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.schemes.anubis import AnubisScheme
-from repro.schemes.base import RecoveryReport
+from repro.schemes.base import RecoveryReport, restore_node
 from repro.tree.geometry import NodeId
 from repro.tree.node import CachedNode
 
@@ -88,9 +88,6 @@ class PhoenixScheme(AnubisScheme):
         node_report = super().recover(machine)
         nvm = machine.nvm
         geometry = machine.controller.geometry
-        auth = machine.controller.auth
-        reads_before = nvm.total_reads()
-        writes_before = nvm.total_writes()
 
         restored = dict(node_report.restored)
         probe_failures = 0
@@ -127,21 +124,12 @@ class PhoenixScheme(AnubisScheme):
                     continue  # nothing moved since the last persist
                 restored[line] = counters
                 stats.event("recover_line", meta_index=line, level=0)
-                parent_counter = self._parent_counter_from(
-                    machine, restored, block_id
-                )
-                image = auth.make_node_image(block_id, counters,
-                                             parent_counter)
-                nvm.write_meta(line, image)
+                restore_node(machine, block_id, counters, restored)
             nvm.read_untouched_blocks(geometry, next_block, probed_blocks)
             if probe_span is not None:
                 probe_span.attrs["failures"] = probe_failures
                 probe_span.attrs["stale"] = probed_stale
 
-        reads = (nvm.total_reads() - reads_before) + \
-            node_report.nvm_reads
-        writes = (nvm.total_writes() - writes_before) + \
-            node_report.nvm_writes
         # stale_lines is the count of lines that actually went stale
         # (ST-shadowed tree nodes + probed-stale counter blocks) — NOT
         # len(restored), which also counts fresh blocks rewritten only
@@ -151,13 +139,7 @@ class PhoenixScheme(AnubisScheme):
             scheme=self.name,
             stale_lines=node_report.stale_lines + probed_stale,
             restored_lines=len(restored),
-            nvm_reads=reads,
-            nvm_writes=writes,
             verified=node_report.verified and probe_failures == 0,
-            recovery_time_ns=(
-                (reads + writes)
-                * machine.config.recovery_line_access_ns
-            ),
             restored=restored,
             st_restored_lines=node_report.restored_lines,
             probed_blocks=probed_blocks,
@@ -201,19 +183,6 @@ class PhoenixScheme(AnubisScheme):
                 )
                 counters[slot] = found
         return tuple(counters), failures
-
-    @staticmethod
-    def _parent_counter_from(machine, restored, node_id: NodeId) -> int:
-        geometry = machine.controller.geometry
-        if geometry.is_top_level(node_id):
-            return machine.registers.sit_root.counters[node_id[1]]
-        parent_id = geometry.parent_of(node_id)
-        parent_line = geometry.meta_index(parent_id)
-        slot = geometry.slot_in_parent(node_id)
-        if parent_line in restored:
-            return restored[parent_line][slot]
-        parent_image, _touched = machine.nvm.read_meta(parent_line)
-        return parent_image.counters[slot]
 
     def on_cache_evict(self, meta_index: int) -> None:
         super().on_cache_evict(meta_index)

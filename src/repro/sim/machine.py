@@ -11,7 +11,9 @@ recovery lifecycle:
   state is dropped, and an oracle snapshot of the dirty metadata is kept
   for test verification,
 * :meth:`Machine.recover` invokes the scheme's recovery procedure with a
-  fresh stat namespace so recovery traffic is reported separately.
+  fresh stat namespace so recovery traffic is reported separately, and
+  prices that traffic on the report (:func:`~repro.schemes.base
+  .measure_recovery`).
 """
 
 from __future__ import annotations
@@ -22,7 +24,11 @@ from repro.config import SystemConfig
 from repro.errors import RecoveryError, VerificationError
 from repro.mem.hierarchy import CacheHierarchy
 from repro.mem.nvm import NVM
-from repro.schemes.base import PersistenceScheme, RecoveryReport
+from repro.schemes.base import (
+    PersistenceScheme,
+    RecoveryReport,
+    measure_recovery,
+)
 from repro.sim.controller import SecureMemoryController
 from repro.sim.energy import energy_from_stats
 from repro.sim.registers import OnChipRegisters
@@ -253,7 +259,8 @@ class Machine:
         self.crashed = True
 
     def recover(self, raise_on_failure: bool = False) -> RecoveryReport:
-        """Run the scheme's recovery; traffic lands in a fresh Stats."""
+        """Run the scheme's recovery; traffic lands in a fresh Stats
+        and is priced on the returned report."""
         if not self.crashed:
             raise RecoveryError("recover called without a crash")
         recovery_stats = Stats(enabled=self.stats.enabled)
@@ -272,7 +279,10 @@ class Machine:
         saved = self.nvm.stats
         self.nvm.stats = recovery_stats
         try:
-            report = self.scheme.recover(self)
+            report = measure_recovery(
+                lambda: self.scheme.recover(self), self.nvm,
+                self.config.recovery_line_access_ns,
+            )
         finally:
             self.nvm.stats = saved
         self.recovery_stats = recovery_stats

@@ -18,10 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import LINE_SIZE
-
-PAPER_LINE_ACCESS_NS = 100.0
-"""The per-64B-line NVM access cost the paper assumes (Section IV-F)."""
+from repro.config import LINE_SIZE, PAPER_LINE_ACCESS_NS
 
 STAR_ACCESSES_PER_STALE_LINE = 11.0
 """Paper model: 10 reads (self + 8 children + parent) + 1 write."""

@@ -1,5 +1,9 @@
 """Tests for the BMT substrate and the Osiris / Triad-NVM baselines."""
 
+import dataclasses
+import hashlib
+import random
+
 import pytest
 
 from repro.bmt import (
@@ -11,6 +15,7 @@ from repro.bmt import (
     MINORS_PER_BLOCK,
     OsirisScheme,
     SplitCounterImage,
+    SuperMemScheme,
     TriadNvmScheme,
     rebuild_tree,
 )
@@ -329,3 +334,42 @@ class TestSitCannotRebuildFromLeaves:
         # and neither verifies under the other parent counter
         assert not auth.verify_node_image((0, 0), image_a, 6)
         assert not auth.verify_node_image((0, 0), image_b, 5)
+
+
+BMT_RECOVERY_DIGEST = "7795817ac3c6806b"
+
+
+def bmt_recovery_digest():
+    """Hash every field of 45 BMT recovery reports: Osiris, Triad-NVM
+    and SuperMem, 15 cases each. Every fifth case replays an old
+    counter block after the crash, so unverified reports are pinned
+    too."""
+    hasher = hashlib.blake2b(digest_size=8)
+    schemes = (
+        lambda: OsirisScheme(persist_stride=4),
+        lambda: TriadNvmScheme(persisted_levels=1),
+        lambda: SuperMemScheme(wpq_window=16),
+    )
+    for make_scheme in schemes:
+        for case in range(15):
+            rng = random.Random(case)
+            controller = make_controller(make_scheme())
+            for _ in range(20 + 13 * case):
+                controller.write_data(rng.randrange(64 * 8))
+            first_block = controller.nvm.peek_meta(0)
+            for _ in range(3 + case):
+                controller.write_data(rng.randrange(64))
+            controller.crash()
+            if case % 5 == 4 and first_block is not None:
+                controller.nvm.tamper_meta(0, first_block)
+            report = controller.recover()
+            fields = dataclasses.asdict(report)
+            fields["restored"] = sorted(fields["restored"].items())
+            hasher.update(repr(sorted(fields.items())).encode("ascii"))
+    return hasher.hexdigest()
+
+
+def test_bmt_recovery_reports_are_frozen():
+    """Pins what BMT recovery reports, its counted traffic and time
+    included, so moving the accounting cannot silently change it."""
+    assert bmt_recovery_digest() == BMT_RECOVERY_DIGEST

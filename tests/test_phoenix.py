@@ -5,7 +5,7 @@ import pytest
 from repro.config import small_config
 from repro.mem.wearlevel import WearLevelingNVM
 from repro.schemes.anubis import AnubisScheme
-from repro.schemes.base import RecoveryReport
+from repro.schemes.base import RecoveryReport, restore_node
 from repro.schemes.phoenix import PhoenixScheme
 from repro.sim.machine import Machine
 from repro.tree.node import NodeImage
@@ -162,9 +162,6 @@ class FullScanPhoenix(PhoenixScheme):
         node_report = AnubisScheme.recover(self, machine)
         nvm = machine.nvm
         geometry = machine.controller.geometry
-        auth = machine.controller.auth
-        reads_before = nvm.total_reads()
-        writes_before = nvm.total_writes()
         restored = dict(node_report.restored)
         probe_failures = 0
         probed_stale = 0
@@ -182,25 +179,12 @@ class FullScanPhoenix(PhoenixScheme):
                 continue
             restored[line] = counters
             nvm.stats.event("recover_line", meta_index=line, level=0)
-            parent_counter = self._parent_counter_from(
-                machine, restored, block_id
-            )
-            nvm.write_meta(line, auth.make_node_image(
-                block_id, counters, parent_counter
-            ))
-        reads = (nvm.total_reads() - reads_before) + node_report.nvm_reads
-        writes = (nvm.total_writes() - writes_before) + \
-            node_report.nvm_writes
+            restore_node(machine, block_id, counters, restored)
         return RecoveryReport(
             scheme=self.name,
             stale_lines=node_report.stale_lines + probed_stale,
             restored_lines=len(restored),
-            nvm_reads=reads,
-            nvm_writes=writes,
             verified=node_report.verified and probe_failures == 0,
-            recovery_time_ns=(
-                (reads + writes) * machine.config.recovery_line_access_ns
-            ),
             restored=restored,
             st_restored_lines=node_report.restored_lines,
             probed_blocks=probed_blocks,
