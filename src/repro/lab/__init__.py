@@ -13,11 +13,12 @@ cache-hitting campaigns:
   journaled checkpoints (``star-lab resume``),
 * :mod:`repro.lab.gridfile` — grid files re-expressing the paper's
   sweeps (Figs. 10-14, Table II) as campaigns,
-* :mod:`repro.lab.lease` / :mod:`repro.lab.farm` — the distributed
-  campaign farm: a SQLite lease board with fencing tokens, a
-  :class:`Coordinator` (``star-lab serve``) and work-stealing
-  :class:`Worker` pools (``star-lab work``) whose merged stores
-  export byte-identically to a serial run,
+* :mod:`repro.lab.lease` / :mod:`repro.lab.farm` — the campaign
+  farm over one shared directory: a SQLite lease board with fencing
+  tokens, which a :class:`Coordinator` (``star-lab serve``) and
+  work-stealing :class:`Worker` pools (``star-lab work``) open
+  directly, and whose merged stores export byte-identically to a
+  serial run,
 * :mod:`repro.lab.bridge` — :class:`LabCache`, the read-through cache
   ``star-bench --lab DIR`` serves figures from,
 * :mod:`repro.lab.cli` — the ``star-lab

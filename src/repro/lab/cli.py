@@ -16,18 +16,12 @@ Examples::
     # drop cells no longer referenced by the given grids
     star-lab gc --store .starlab --grid table2 --grid fig14b
 
-    # distributed farm: a coordinator seeds the lease board and
-    # merges worker stores; any number of work-stealing worker
-    # pools (same host or a shared filesystem) chew through it
+    # farm: a coordinator seeds the lease board and merges worker
+    # stores; any number of work-stealing worker pools, started or
+    # stopped at any time, chew through it
     star-lab serve --grid table2 --store .starlab --farm .starlab/farm
-    star-lab work --farm .starlab/farm --jobs 4      # repeat per host
+    star-lab work --farm .starlab/farm --jobs 4      # repeat per pool
     star-lab merge --store .starlab --farm .starlab/farm
-
-    # multi-host fleet: serve the lease board over HTTP; workers
-    # need no shared filesystem — results ship back over the wire
-    star-lab serve --grid table2 --store .starlab \
-        --farm .starlab/farm --http 0.0.0.0:9433
-    star-lab work --coordinator http://coord:9433 --jobs 4
 
 Exit codes: 0 campaign complete, 1 cells failed permanently,
 3 campaign interrupted (resume / re-serve to continue).
@@ -40,15 +34,13 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.bench.tables import ExperimentTable, render_table
-from repro.errors import ConfigError, ReproError
+from repro.errors import ReproError
 from repro.lab import gridfile
 from repro.lab.clock import BACKOFF_POLICIES, BackoffPolicy, Clock
-from repro.lab.farm import Coordinator, Worker, board_path
-from repro.lab.lease import LeaseBoard
-from repro.lab.net.server import LeaseServer
+from repro.lab.farm import Coordinator, Worker
 from repro.lab.scheduler import (
     CampaignReport,
     Scheduler,
@@ -176,32 +168,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "stays resumable; re-serve to continue)")
     serve.add_argument("--heartbeat-interval", type=float, default=1.0,
                        metavar="SECONDS")
-    serve.add_argument("--http", default=None, metavar="HOST:PORT",
-                       help="also serve the lease board over HTTP so "
-                            "workers on other hosts can join with "
-                            "--coordinator (port 0 = ephemeral)")
     serve.add_argument("--quiet", action="store_true")
 
     work = commands.add_parser(
         "work", help="run one work-stealing worker pool against a "
-                     "farm directory or an HTTP coordinator"
+                     "farm directory"
     )
-    work.add_argument("--farm", default=None, metavar="DIR",
-                      help="the coordinator's shared farm directory "
-                           "(filesystem transport)")
-    work.add_argument("--coordinator", default=None, metavar="URL",
-                      help="the coordinator's lease URL from star-lab "
-                           "serve --http (no shared filesystem "
-                           "needed); results upload over the wire")
-    work.add_argument("--workdir", default=None, metavar="DIR",
-                      help="with --coordinator: local scratch root "
-                           "for this pool's store and telemetry "
-                           "(default: .starlab-work/<id>)")
-    work.add_argument("--net-timeout", type=float, default=10.0,
-                      metavar="SECONDS",
-                      help="per-request HTTP timeout (default 10)")
-    work.add_argument("--net-retries", type=int, default=5,
-                      help="HTTP retry budget per request (default 5)")
+    work.add_argument("--farm", required=True, metavar="DIR",
+                      help="the coordinator's farm directory")
     work.add_argument("--id", default=None, metavar="NAME",
                       help="worker id (default: w<pid>; must be "
                            "unique per farm)")
@@ -462,16 +436,6 @@ def _farm_dir(args: argparse.Namespace) -> Path:
     return Path(args.store) / "farm"
 
 
-def _parse_hostport(value: str) -> Tuple[str, int]:
-    host, sep, port = value.rpartition(":")
-    if not sep or not port.isdigit():
-        raise ConfigError(
-            "--http wants HOST:PORT (e.g. 0.0.0.0:9433), got %r"
-            % value
-        )
-    return (host or "0.0.0.0", int(port))
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     specs = gridfile.resolve_specs(args.grid)
     name = "+".join(
@@ -480,40 +444,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     stats = Stats(enabled=True)
     store = ResultStore(args.store, stats=stats)
-    farm = _farm_dir(args)
-    server = None
-    server_board = None
-    transport_meta = None
-    if args.http:
-        host, port = _parse_hostport(args.http)
-        # the server gets its own connections (board opened
-        # cross-thread, store on the same root); the coordinator's
-        # poll loop keeps its own — BEGIN IMMEDIATE + busy timeouts
-        # arbitrate, exactly as they do between farm processes
-        server_board = LeaseBoard(board_path(farm), cross_thread=True)
-        server = LeaseServer(
-            server_board,
-            ResultStore(args.store, stats=stats, cross_thread=True),
-            host=host, port=port, stats=stats,
-        ).start()
-        transport_meta = {"kind": "http", "url": server.url}
-        if not args.quiet:
-            print("star-lab serve: lease transport on %s" % server.url)
     coordinator = Coordinator(
-        store, farm, stats=stats, lease_s=args.lease,
+        store, _farm_dir(args), stats=stats, lease_s=args.lease,
         poll_interval_s=args.poll,
         heartbeat_interval_s=args.heartbeat_interval,
-        transport_meta=transport_meta,
     )
     try:
         report = coordinator.run(specs, name=name,
                                  max_wall_s=args.max_wall)
     finally:
         coordinator.close()
-        if server is not None:
-            server.shutdown()
-        if server_board is not None:
-            server_board.close()
     if not args.quiet:
         print(render_table(_report_table(report, stats)))
     if report.failed:
@@ -525,27 +465,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_work(args: argparse.Namespace) -> int:
     worker_id = args.id if args.id else "w%d" % os.getpid()
-    if args.coordinator:
-        # HTTP mode: the "farm dir" is a private local workdir — the
-        # pool's store and telemetry land there, nothing is shared
-        base = (Path(args.workdir) if args.workdir
-                else Path(".starlab-work") / worker_id)
-    elif args.farm:
-        base = Path(args.farm)
-    else:
-        print("star-lab work: pass --farm DIR (shared filesystem) or "
-              "--coordinator URL (HTTP)", file=sys.stderr)
-        return 2
     worker = Worker(
-        base, worker_id, jobs=args.jobs, batch=args.batch,
+        args.farm, worker_id, jobs=args.jobs, batch=args.batch,
         lease_s=args.lease, timeout_s=args.timeout,
         retries=args.retries, backoff=_backoff_policy(args),
         max_attempts=args.max_attempts, poll_interval_s=args.poll,
         heartbeat_interval_s=args.heartbeat_interval,
         wait_s=args.wait,
-        coordinator=args.coordinator,
-        net_timeout_s=args.net_timeout,
-        net_retries=args.net_retries,
     )
     summary = worker.run()
     if not args.quiet:

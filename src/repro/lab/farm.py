@@ -1,7 +1,7 @@
 """The distributed campaign farm: coordinator + work-stealing workers.
 
 ``repro.lab.farm`` turns the single-host lab into a multi-worker
-campaign service over a shared filesystem. The topology:
+campaign service over one shared farm directory. The topology:
 
 * a **coordinator** (``star-lab serve``) expands grids into cells,
   seeds the :class:`~repro.lab.lease.LeaseBoard` (skipping cells the
@@ -15,7 +15,7 @@ campaign service over a shared filesystem. The topology:
   :class:`~repro.lab.scheduler.Scheduler` → :mod:`repro.lab.executor`
   path into their own private store, renew their leases between
   chunks, and mark cells done/failed under the lease's fencing token.
-  A worker that dies (SIGKILL, host loss, partition) simply stops
+  A worker that dies (SIGKILL, OOM kill, a crash) simply stops
   renewing — once its deadlines pass, the surviving workers steal its
   cells.
 
@@ -23,20 +23,13 @@ Farm layout, under one shared directory::
 
     <farm>/
       leases.sqlite        the lease board (the only coordination state)
-      farm.json            manifest: campaign id/name, cells, transport
+      farm.json            manifest: campaign id/name, cells, lease
       workers/<id>/store/  per-worker ResultStore (merged, then disposable)
       telemetry/           worker + coordinator heartbeats (star-top)
 
-The board dependency is an interface, not a file: workers program
-against :class:`~repro.lab.net.transport.LeaseTransport`, which the
-SQLite board satisfies directly (shared-filesystem farms) and
-:class:`~repro.lab.net.client.HttpLeaseClient` satisfies over the
-wire (``star-lab work --coordinator URL``). In HTTP mode the worker's
-``farm_dir`` is just its private workdir — store and telemetry land
-there, no filesystem is shared with the coordinator — and computed
-payloads are shipped back as gzip export uploads *before* the cells
-are completed, so a ``done`` row always has its payload on the
-coordinator side.
+Coordinator and workers talk to the SQLite
+:class:`~repro.lab.lease.LeaseBoard` directly; ``BEGIN IMMEDIATE``
+transactions arbitrate between their processes.
 
 Determinism: payloads are pure functions of their specs, so however
 many workers computed (or double-computed, after a steal) a cell, the
@@ -57,8 +50,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Union
 from repro.lab.clock import BackoffPolicy, Clock
 from repro.lab.gridfile import campaign_id
 from repro.lab.lease import Lease, LeaseBoard
-from repro.lab.net.client import HttpLeaseClient
-from repro.lab.net.transport import LeaseTransport, TransportError
 from repro.lab.scheduler import (
     CampaignReport,
     JobRunner,
@@ -115,7 +106,7 @@ class Coordinator:
     journal; it never executes cells itself. Restarting it against the
     same farm directory re-adopts the existing board (in-flight leases
     keep their owners and fences) and re-merges whatever the workers
-    have shipped since — coordination state lives entirely on disk.
+    have stored since — coordination state lives entirely on disk.
     """
 
     def __init__(self, store: ResultStore, farm_dir: PathLike,
@@ -124,8 +115,7 @@ class Coordinator:
                  lease_s: float = 60.0,
                  poll_interval_s: float = 0.5,
                  heartbeat_interval_s: float = 1.0,
-                 telemetry: bool = True,
-                 transport_meta: Optional[Dict] = None) -> None:
+                 telemetry: bool = True) -> None:
         self.store = store
         self.farm_dir = Path(farm_dir)
         self.clock = clock if clock is not None else Clock()
@@ -134,9 +124,6 @@ class Coordinator:
         self.poll_interval_s = poll_interval_s
         self.heartbeat_interval_s = heartbeat_interval_s
         self.telemetry = telemetry
-        # what the manifest advertises to star-top: how workers reach
-        # the board (file path on a shared FS, or an http URL)
-        self.transport_meta = transport_meta
         self.board = LeaseBoard(board_path(self.farm_dir),
                                 clock=self.clock)
         self._resumed = 0
@@ -168,11 +155,6 @@ class Coordinator:
             "name": name,
             "cells": len(specs),
             "lease_s": self.lease_s,
-            "transport": (dict(self.transport_meta)
-                          if self.transport_meta is not None
-                          else {"kind": "file",
-                                "board": str(board_path(self.farm_dir))
-                                }),
         }
         path = manifest_path(self.farm_dir)
         tmp = path.with_suffix(".tmp")
@@ -265,7 +247,7 @@ class Coordinator:
                                progress=report.summary())
                 if self.board.finished():
                     self.merge()
-                    # done rows whose payload never shipped (a worker
+                    # done rows whose payload never merged (a worker
                     # store was lost wholesale) go back on the board
                     missing = [
                         spec.spec_hash for spec in specs
@@ -304,7 +286,7 @@ class Coordinator:
 # worker
 # ----------------------------------------------------------------------
 class Worker:
-    """One work-stealing worker pool: claim, execute, ship, repeat.
+    """One work-stealing worker pool: claim, execute, settle, repeat.
 
     Claims up to ``batch`` leases at a time and executes them in
     chunks of ``jobs`` through a private :class:`Scheduler` (process
@@ -338,17 +320,9 @@ class Worker:
                  telemetry: bool = True,
                  runner: Optional[JobRunner] = None,
                  wait_s: float = 30.0,
-                 max_batches: Optional[int] = None,
-                 coordinator: Optional[str] = None,
-                 net_timeout_s: float = 10.0,
-                 net_retries: int = 5,
-                 net_backoff: Optional[BackoffPolicy] = None) -> None:
+                 max_batches: Optional[int] = None) -> None:
         self.farm_dir = Path(farm_dir)
         self.worker_id = worker_id
-        self.coordinator = coordinator
-        self.net_timeout_s = net_timeout_s
-        self.net_retries = net_retries
-        self.net_backoff = net_backoff
         self.clock = clock if clock is not None else Clock()
         self.stats = stats if stats is not None else Stats(enabled=True)
         if store is None:
@@ -379,29 +353,10 @@ class Worker:
         self.stolen = 0
 
     # ------------------------------------------------------------------
-    def _wait_for_board(self) -> Optional[LeaseTransport]:
-        """Connect the lease transport, waiting up to ``wait_s``.
-
-        With a ``coordinator`` URL the wait is a ping loop against its
-        snapshot endpoint; otherwise it polls for the board file the
-        coordinator creates on the shared filesystem.
-        """
+    def _wait_for_board(self) -> Optional[LeaseBoard]:
+        """Open the lease board, waiting up to ``wait_s`` for the
+        coordinator to create it in the farm directory."""
         waited = 0.0
-        if self.coordinator is not None:
-            client = HttpLeaseClient(
-                self.coordinator, clock=self.clock, stats=self.stats,
-                timeout_s=self.net_timeout_s, retries=self.net_retries,
-                backoff=self.net_backoff,
-            )
-            while True:
-                try:
-                    client.ping()
-                    return client
-                except TransportError:
-                    if waited >= self.wait_s:
-                        return None
-                    self.clock.sleep(self.poll_interval_s)
-                    waited += self.poll_interval_s
         path = board_path(self.farm_dir)
         while not path.exists():
             if waited >= self.wait_s:
@@ -424,34 +379,7 @@ class Worker:
                 return str(failure.get("error", "unknown"))
         return "cell not stored after scheduler run"
 
-    def _ship_chunk(self, board: LeaseTransport,
-                    chunk: List[Lease]) -> bool:
-        """Upload the chunk's computed payloads (HTTP farms only).
-
-        Runs *before* settling, so by the time a cell's ``complete``
-        lands on the board its payload is already in the
-        coordinator's store — a ``done`` row can't outrun its data.
-        Returns ``False`` when the upload could not be delivered; the
-        chunk is then left unsettled, its leases expire, and a
-        connected peer (or this worker, reconnected) recomputes or
-        reships — the convergence path churn already exercises.
-        """
-        upload = getattr(board, "upload_results", None)
-        if upload is None:
-            return True  # file transport: the merge path reads disk
-        hashes = [lease.spec_hash for lease in chunk
-                  if lease.spec in self.store]
-        entries = self.store.export(spec_hashes=hashes) if hashes else []
-        if not entries:
-            return True
-        try:
-            upload(entries)
-        except TransportError:
-            return False
-        self.stats.add("lab.farm.results_shipped", len(entries))
-        return True
-
-    def _settle_chunk(self, board: LeaseTransport, chunk: List[Lease],
+    def _settle_chunk(self, board: LeaseBoard, chunk: List[Lease],
                       report: CampaignReport) -> None:
         for lease in chunk:
             if self.store.get(lease.spec) is not None:
@@ -485,12 +413,6 @@ class Worker:
         """
         board = self._wait_for_board()
         if board is None:
-            if self.coordinator is not None:
-                raise TransportError(
-                    "no coordinator answering at %s after waiting "
-                    "%.0fs; is star-lab serve --http running there?"
-                    % (self.coordinator, self.wait_s)
-                )
             raise StoreError(
                 "no lease board under %s after waiting %.0fs; is "
                 "star-lab serve running against this farm directory?"
@@ -505,20 +427,10 @@ class Worker:
         idle_attempts = 0
         try:
             while True:
-                # past the client's retry budget the coordinator is
-                # gone, not flapping: exit with what we have — the
-                # board remains authoritative, and unfinished leases
-                # expire back to whoever reaches it next
-                try:
-                    leases = board.claim(self.worker_id, self.lease_s,
-                                         limit=self.batch)
-                except TransportError:
-                    break
+                leases = board.claim(self.worker_id, self.lease_s,
+                                     limit=self.batch)
                 if not leases:
-                    try:
-                        if board.finished():
-                            break
-                    except TransportError:
+                    if board.finished():
                         break
                     # peers hold every remaining cell; pace re-claims
                     # with the backoff policy and retry (their lease
@@ -543,31 +455,16 @@ class Worker:
                 for start in range(0, len(leases), self.jobs):
                     chunk = leases[start:start + self.jobs]
                     if start:
-                        try:
-                            for lease in leases[start:]:
-                                if board.renew(self.worker_id,
-                                               lease.spec_hash,
-                                               lease.fence,
-                                               self.lease_s):
-                                    self.stats.add(
-                                        "lab.farm.lease_renewals"
-                                    )
-                        except TransportError:
-                            # renewal is best-effort: missed renewals
-                            # only widen the steal window
-                            pass
+                        for lease in leases[start:]:
+                            if board.renew(self.worker_id,
+                                           lease.spec_hash, lease.fence,
+                                           self.lease_s):
+                                self.stats.add("lab.farm.lease_renewals")
                     report = self._scheduler().run(
                         [lease.spec for lease in chunk],
                         name="farm:%s" % self.worker_id,
                     )
-                    if self._ship_chunk(board, chunk):
-                        try:
-                            self._settle_chunk(board, chunk, report)
-                        except TransportError:
-                            # partial settle: unreported leases just
-                            # expire; outcomes already on the board
-                            # stand
-                            pass
+                    self._settle_chunk(board, chunk, report)
                     if beat is not None:
                         beat.write(registry=self.stats.registry,
                                    progress={"state": "running",

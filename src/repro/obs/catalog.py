@@ -64,7 +64,6 @@ METRICS: Dict[str, str] = {
     "lab.farm.leases_stolen": "counter",
     "lab.farm.merged_records": "counter",
     "lab.farm.pending": "gauge",
-    "lab.farm.results_shipped": "counter",
     "lab.farm.stale_fences": "counter",
     "lab.farm.wall_s": "gauge",
     "lab.job.wall_ms": "histogram",
@@ -74,12 +73,6 @@ METRICS: Dict[str, str] = {
     "lab.jobs.retried": "counter",
     "lab.jobs.scheduled": "counter",
     "lab.jobs.timeouts": "counter",
-    "lab.net.duplicates": "counter",
-    "lab.net.errors": "counter",
-    "lab.net.rejects": "counter",
-    "lab.net.requests": "counter",
-    "lab.net.retries": "counter",
-    "lab.net.upload_bytes": "counter",
     "lab.store.hits": "counter",
     "lab.store.misses": "counter",
     "lab.store.puts": "counter",

@@ -161,8 +161,6 @@ def build_status(telemetry_dir: Union[str, Path],
             status["farm"] = {
                 "name": manifest.get("name"),
                 "cells": manifest.get("cells"),
-                "transport": manifest.get("transport",
-                                          {"kind": "file"}),
             }
     if store_path is not None:
         from repro.lab.scheduler import checkpoint_rates
@@ -203,11 +201,8 @@ def render_dashboard(status: Dict) -> str:
     lines = ["star-top — %s" % status["telemetry_dir"]]
     farm = status.get("farm")
     if farm:
-        transport = farm.get("transport") or {}
-        where = (transport.get("url") or transport.get("board")
-                 or "?")
-        lines.append("farm: transport %s %s"
-                     % (transport.get("kind", "file"), where))
+        lines.append("farm %s: %s cells"
+                     % (farm.get("name", "?"), farm.get("cells", "?")))
     campaign = status.get("campaign")
     if campaign:
         counts = campaign.get("counts", {})
@@ -237,12 +232,6 @@ def render_dashboard(status: Dict) -> str:
         ("farm_done", "lab.farm.cells_done"),
         ("farm_failed", "lab.farm.cells_failed"),
         ("merged", "lab.farm.merged_records"),
-        ("shipped", "lab.farm.results_shipped"),
-        ("net_req", "lab.net.requests"),
-        ("net_retry", "lab.net.retries"),
-        ("net_reject", "lab.net.rejects"),
-        ("net_dup", "lab.net.duplicates"),
-        ("net_err", "lab.net.errors"),
     ]
     cells = ["%s %d" % (label, counters[name])
              for label, name in interesting if name in counters]

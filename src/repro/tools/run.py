@@ -23,6 +23,7 @@ from repro.schemes import SIT_SCHEMES
 from repro.sim.endurance import wear_report
 from repro.sim.machine import Machine
 from repro.sim.validate import audit_machine
+from repro.tools import positive_int
 from repro.workloads.capture import load_trace
 from repro.workloads.registry import (
     ALL_WORKLOADS,
@@ -43,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="replay a captured trace instead")
     parser.add_argument("--scheme", choices=sorted(SIT_SCHEMES),
                         default="star")
-    parser.add_argument("--operations", type=int, default=1000)
+    parser.add_argument("--operations", type=positive_int, default=1000)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--threads", type=int, default=1,
                         help="interleave N workload threads")

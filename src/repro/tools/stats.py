@@ -30,6 +30,7 @@ from repro.obs.export import (
 from repro.obs.render import render_snapshot
 from repro.schemes import SIT_SCHEMES
 from repro.sim.machine import Machine
+from repro.tools import positive_int
 from repro.workloads.registry import ALL_WORKLOADS, make_workload
 
 
@@ -43,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="hash")
     parser.add_argument("--scheme", choices=sorted(SIT_SCHEMES),
                         default="star")
-    parser.add_argument("--operations", type=int, default=500)
+    parser.add_argument("--operations", type=positive_int, default=500)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--memory-mb", type=int, default=64)
     parser.add_argument("--cache-kb", type=int, default=64,

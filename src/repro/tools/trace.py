@@ -13,6 +13,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.tools import positive_int
 from repro.workloads.capture import load_trace, save_trace
 from repro.workloads.registry import (
     ALL_WORKLOADS,
@@ -34,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     generate.add_argument("--workload", choices=ALL_WORKLOADS,
                           required=True)
-    generate.add_argument("--operations", type=int, default=1000)
+    generate.add_argument("--operations", type=positive_int, default=1000)
     generate.add_argument("--lines", type=int, default=1024 * 1024,
                           help="data lines in the address space")
     generate.add_argument("--seed", type=int, default=42)

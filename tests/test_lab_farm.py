@@ -9,7 +9,12 @@ deterministically in microseconds.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import repro
 from repro.bench.runner import config_for_scale
 from repro.lab.clock import FakeClock
 from repro.lab.farm import (
@@ -227,3 +232,21 @@ class TestObservability:
         for name in farm_names:
             assert catalog.lookup(name) is not None, name
         coordinator.close()
+
+
+def test_lab_import_pulls_in_no_network_stack():
+    """The farm reaches its lease board through SQLite alone, so
+    importing the lab (and its CLI) loads no HTTP, TLS or mail
+    module."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    network = ("http.server", "http.client", "urllib.request", "ssl",
+               "email")
+    code = ("import sys, repro.lab, repro.lab.cli; "
+            "print(' '.join(m for m in %r if m in sys.modules))"
+            % (network,))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True,
+        capture_output=True, text=True, timeout=60,
+    ).stdout
+    assert out.split() == []

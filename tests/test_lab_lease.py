@@ -165,17 +165,6 @@ class TestClaimHardening:
             board.claim("w1", lease_s=60.0, limit=limit)
         assert board.counts()["pending"] == 1
 
-    def test_lease_row_reads_back_one_cell(self, tmp_path):
-        board = make_board(tmp_path)
-        specs = make_specs(1)
-        board.seed(specs)
-        (lease,) = board.claim("w1", lease_s=60.0)
-        row = board.lease_row(lease.spec_hash)
-        assert row is not None
-        assert row["state"] == "leased" and row["owner"] == "w1"
-        assert row["fence"] == lease.fence
-        assert board.lease_row("no-such-hash") is None
-
 
 class TestFencing:
     def test_stale_fence_cannot_complete_a_stolen_cell(self, tmp_path):

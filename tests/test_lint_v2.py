@@ -368,33 +368,6 @@ class TestLeaseFencing:
         })
         assert findings == []
 
-    def test_net_package_is_in_scope(self, tmp_path):
-        """The ``repro/lab/net/`` prefix covers the whole HTTP
-        transport package: a server verb reaching for raw lease SQL
-        (instead of the board's fenced methods) is a finding."""
-        findings = lint_tree(tmp_path, [LeaseFencingRule()], {
-            "repro/lab/net/server.py":
-                "class Server:\n"
-                "    def _verb_complete(self, payload):\n"
-                "        self.board._conn.execute(\n"
-                "            \"UPDATE leases SET state = 'done'"
-                " WHERE spec_hash = ?\",\n"
-                "            (payload['spec_hash'],))\n",
-        })
-        assert codes(findings) == ["STAR007"]
-
-    def test_net_verbs_through_board_methods_pass(self, tmp_path):
-        findings = lint_tree(tmp_path, [LeaseFencingRule()], {
-            "repro/lab/net/server.py":
-                "class Server:\n"
-                "    def _verb_complete(self, payload):\n"
-                "        ok = self.board.complete(\n"
-                "            payload['owner'], payload['spec_hash'],\n"
-                "            payload['fence'])\n"
-                "        return {'ok': ok}\n",
-        })
-        assert findings == []
-
 
 # ----------------------------------------------------------------------
 # STAR008: atomic publish

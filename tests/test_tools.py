@@ -1,8 +1,9 @@
-"""Tests for the star-run / star-trace command-line tools."""
+"""Tests for the star-run / star-stats / star-trace command-line tools."""
 
 import pytest
 
 from repro.tools.run import main as run_main
+from repro.tools.stats import main as stats_main
 from repro.tools.trace import main as trace_main
 
 
@@ -86,3 +87,22 @@ class TestStarRun:
     def test_scheme_choices(self):
         with pytest.raises(SystemExit):
             run_main(["--scheme", "bogus"])
+
+
+class TestOperationsFlag:
+    """``--operations`` below 1 is a usage error in every tool."""
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    @pytest.mark.parametrize("tool", [
+        lambda ops: run_main(["--operations", ops]),
+        lambda ops: stats_main(["--operations", ops]),
+        lambda ops: trace_main(["generate", "--workload", "hash",
+                                "--operations", ops, "-o", "unused"]),
+    ], ids=["star-run", "star-stats", "star-trace"])
+    def test_non_positive_operations_exit_2(self, tool, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            tool(value)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--operations: must be at least 1" in err
+        assert "Traceback" not in err
