@@ -125,7 +125,7 @@ def run_one(config: SystemConfig, scheme: str, workload: str,
     ``tests/test_batch_parity.py``), so the flag is purely a speed
     choice.
 
-    ``lab`` routes the cell through a :class:`repro.lab.LabCache`: a
+    ``lab`` routes the cell through a :class:`repro.lab.bridge.LabCache`: a
     cell already in the store is deserialized instead of re-simulated,
     a missing one is computed once and committed. Lab cells carry the
     counter snapshot but no live telemetry objects, so ``telemetry``

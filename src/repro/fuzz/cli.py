@@ -42,6 +42,7 @@ from repro.fuzz.minimize import (
 )
 from repro.fuzz.sampling import CampaignSpec
 from repro.schemes import SIT_SCHEMES
+from repro.tools import positive_int
 from repro.workloads.registry import ALL_WORKLOADS
 
 
@@ -56,8 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     run = commands.add_parser(
         "run", help="sample and execute a fuzzing campaign"
     )
-    run.add_argument("--cases", type=int, default=48)
-    run.add_argument("--jobs", type=int, default=1,
+    run.add_argument("--cases", type=positive_int, default=48)
+    run.add_argument("--jobs", type=positive_int, default=1,
                      help="parallel worker processes (spawn)")
     run.add_argument("--seed", type=int, default=0,
                      help="campaign seed; every case derives from it")

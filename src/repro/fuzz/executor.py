@@ -5,9 +5,10 @@ replay it up to the sampled crash point (pausing once mid-run so replay
 attacks can take their snapshots), power-fail the machine, optionally
 tamper with the NVM, recover, and hand the outcome to the oracle stack.
 
-Campaigns fan the case list out over a ``multiprocessing`` pool using
-the *spawn* start method — the same cold-start a reproducing developer
-gets — so that a failure seen in a worker is guaranteed to replay
+A parallel campaign hands its cases, as ``kind="fuzz"`` lab cells, to
+the lab :class:`~repro.lab.scheduler.Dispatcher`, whose workers are
+*spawn*-started — the same cold start a reproducing developer gets —
+so that a failure seen in a worker is guaranteed to replay
 byte-identically from its serialized :class:`FuzzCase` alone.
 
 ``DEFECTS`` holds test-only fault injections (e.g. a recovery that
@@ -18,14 +19,13 @@ behind ``--inject-defect`` for self-tests.
 
 from __future__ import annotations
 
-import multiprocessing
 import random
 import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.config import SystemConfig, small_config
-from repro.errors import RecoveryError
+from repro.errors import RecoveryError, ReproError
 from repro.fuzz.attacks import make_attack
 from repro.fuzz.oracle import Verdict, judge
 from repro.obs.flight import arm_flight_recorder, flight_tail
@@ -231,59 +231,6 @@ def _execute(machine: Machine, case: FuzzCase, ops: Sequence[Op],
 # ----------------------------------------------------------------------
 # the parallel campaign driver
 # ----------------------------------------------------------------------
-_WORKER_TELEMETRY: Optional[Dict] = None
-"""Per-process live-telemetry state (worker stats + heartbeat writer),
-created lazily on the first case a pool worker executes."""
-
-
-def _worker_telemetry(telemetry) -> Optional[Dict]:
-    global _WORKER_TELEMETRY
-    if telemetry is None:
-        return None
-    if _WORKER_TELEMETRY is None:
-        from repro.lab.clock import Clock
-        from repro.obs.live import HeartbeatWriter
-
-        directory, interval_s = telemetry
-        worker = multiprocessing.current_process().name
-        stats = Stats()
-        _WORKER_TELEMETRY = {
-            "stats": stats,
-            "cases": 0,
-            "writer": HeartbeatWriter(
-                directory, worker, clock=Clock(),
-                interval_s=interval_s, stats=stats,
-            ),
-        }
-    return _WORKER_TELEMETRY
-
-
-def _ship_heartbeat(telemetry, result: "CaseResult") -> None:
-    """Count one finished case into this worker's registry and
-    publish a (throttled) snapshot; failures always force a beat."""
-    state = _worker_telemetry(telemetry)
-    if state is None:
-        return
-    stats = state["stats"]
-    _count(stats, result)
-    state["cases"] += 1
-    state["writer"].write(
-        registry=stats.registry,
-        progress={"cases": state["cases"],
-                  "last_case": result.case.case_id},
-        force=result.failed,
-    )
-
-
-def _campaign_worker(payload) -> Dict:
-    """Top-level (picklable) pool entry point."""
-    case_dict, defect, sanitize, telemetry = payload
-    case = FuzzCase.from_dict(case_dict)
-    result = run_case(case, defect=defect, sanitize=sanitize)
-    _ship_heartbeat(telemetry, result)
-    return result.to_dict()
-
-
 @dataclass
 class CampaignResult:
     """Aggregate outcome of one campaign run."""
@@ -318,43 +265,68 @@ def run_campaign(spec: CampaignSpec, jobs: int = 1,
                  sanitize: bool = False,
                  telemetry_dir=None,
                  heartbeat_interval_s: float = 1.0) -> CampaignResult:
-    """Run every sampled case, serially or across a process pool.
+    """Run every sampled case, serially or on ``jobs`` worker slots.
 
-    ``telemetry_dir`` opts into the live plane: every executing process
-    (pool workers, or this process when serial) publishes heartbeat +
-    metric snapshots there for ``star-top`` — see
+    ``jobs=1`` runs the cases one after another in this process.
+    Otherwise the lab :class:`~repro.lab.scheduler.Dispatcher` runs
+    them, with its timeouts, retries and SIGINT drain. Results are
+    sorted by case index, so both paths return identical campaigns.
+
+    ``telemetry_dir`` opts into the live plane: this process publishes
+    a ``campaign`` heartbeat carrying the campaign's registry, and each
+    worker slot its own ``wN`` beat, for ``star-top`` — see
     :mod:`repro.obs.live`. Heartbeats never influence results.
     """
-    global _WORKER_TELEMETRY
-    _WORKER_TELEMETRY = None  # fresh serial-mode state per campaign
-    telemetry = None
-    if telemetry_dir is not None:
-        telemetry = (str(telemetry_dir), heartbeat_interval_s)
     cases = sample_cases(spec)
-    payloads = [
-        (case.to_dict(), spec.defect, sanitize, telemetry)
-        for case in cases
-    ]
     stats = Stats()
     results: List[CaseResult] = []
+    beat = None
+    if telemetry_dir is not None:
+        from repro.obs.live import HeartbeatWriter
 
-    def consume(payload: Dict) -> None:
-        result = CaseResult.from_dict(payload)
+        beat = HeartbeatWriter(telemetry_dir, "campaign",
+                               interval_s=heartbeat_interval_s)
+
+    def consume(result: CaseResult) -> None:
         results.append(result)
         _count(stats, result)
+        if beat is not None:
+            beat.write(registry=stats.registry,
+                       progress={"cases": len(results),
+                                 "last_case": result.case.case_id},
+                       force=result.failed)
         if progress is not None:
             progress(result)
 
     if jobs <= 1:
-        for item in payloads:
-            consume(_campaign_worker(item))
+        for case in cases:
+            consume(run_case(case, defect=spec.defect, sanitize=sanitize))
     else:
-        context = multiprocessing.get_context("spawn")
-        with context.Pool(processes=jobs) as pool:
-            for payload in pool.imap_unordered(
-                _campaign_worker, payloads, chunksize=1
-            ):
-                consume(payload)
+        # the cases run as lab fuzz cells on warm workers and come back
+        # here, not into a store: a store rewrites its journal after
+        # every commit, which for thousands of cases costs more than
+        # the cases. Only this branch imports the lab.
+        from repro.lab.scheduler import Dispatcher
+        from repro.lab.spec import fuzz_spec
+
+        errors: List[str] = []
+        dispatcher = Dispatcher(jobs=jobs, telemetry_dir=telemetry_dir)
+        unfinished = dispatcher.dispatch(
+            [fuzz_spec(case, sanitize=sanitize, defect=spec.defect)
+             for case in cases],
+            on_payload=lambda _cell, payload, _elapsed: consume(
+                CaseResult.from_dict(payload["fuzz"])),
+            on_failure=lambda cell, _attempts, error: errors.append(
+                "%s: %s" % (cell.label, error.splitlines()[-1])),
+        )
+        if errors:
+            raise ReproError("fuzz cases failed to execute: "
+                             + "; ".join(errors))
+        if unfinished:
+            raise KeyboardInterrupt  # drained after SIGINT
+    if beat is not None:
+        beat.write(registry=stats.registry,
+                   progress={"cases": len(results)}, force=True)
     results.sort(key=lambda result: result.case.index)
     return CampaignResult(spec=spec, results=results, stats=stats)
 

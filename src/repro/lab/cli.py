@@ -51,6 +51,7 @@ from repro.lab.scheduler import (
 )
 from repro.lab.spec import RunSpec
 from repro.lab.store import ResultStore
+from repro.tools import positive_float, positive_int
 from repro.util.stats import Stats
 
 EXIT_OK = 0
@@ -79,9 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="built-in grid name (%s) or grid JSON path; "
                           "repeatable"
                           % ", ".join(sorted(gridfile.BUILTIN_GRIDS)))
-    run.add_argument("--jobs", type=int, default=1,
+    run.add_argument("--jobs", type=positive_int, default=1,
                      help="worker shards (spawn processes when > 1)")
-    run.add_argument("--timeout", type=float, default=None,
+    run.add_argument("--timeout", type=positive_float, default=None,
                      metavar="SECONDS",
                      help="per-cell timeout (needs --jobs > 1)")
     run.add_argument("--retries", type=int, default=2,
@@ -114,8 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument("--campaign", default=None, metavar="IDPREFIX",
                         help="journal to resume (unique id prefix); "
                              "default: the only unfinished campaign")
-    resume.add_argument("--jobs", type=int, default=1)
-    resume.add_argument("--timeout", type=float, default=None)
+    resume.add_argument("--jobs", type=positive_int, default=1)
+    resume.add_argument("--timeout", type=positive_float, default=None)
     resume.add_argument("--retries", type=int, default=2)
     _add_backoff(resume)
     resume.add_argument("--max-cells", type=int, default=None)
@@ -179,11 +180,11 @@ def build_parser() -> argparse.ArgumentParser:
     work.add_argument("--id", default=None, metavar="NAME",
                       help="worker id (default: w<pid>; must be "
                            "unique per farm)")
-    work.add_argument("--jobs", type=int, default=1,
+    work.add_argument("--jobs", type=positive_int, default=1,
                       help="execution shards within this pool")
     work.add_argument("--batch", type=int, default=None,
                       help="leases claimed per round (default: --jobs)")
-    work.add_argument("--timeout", type=float, default=None,
+    work.add_argument("--timeout", type=positive_float, default=None,
                       metavar="SECONDS",
                       help="per-cell timeout (needs --jobs > 1)")
     work.add_argument("--retries", type=int, default=2,

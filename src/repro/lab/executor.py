@@ -119,18 +119,12 @@ def _execute_fuzz(spec: RunSpec) -> Dict:
     from repro.fuzz.sampling import FuzzCase
 
     params = spec.params
-    case = FuzzCase(
-        index=params.get("index", 0),
-        workload=spec.workload,
-        scheme=spec.scheme,
-        seed=spec.seed,
-        operations=spec.operations,
-        crash_frac=params["crash_frac"],
-        prepare_frac=params["prepare_frac"],
-        attack=params.get("attack"),
-        attack_seed=params.get("attack_seed", 0),
-    )
-    result = run_case(case)
+    case = FuzzCase.from_dict(dict(
+        params, workload=spec.workload, scheme=spec.scheme,
+        seed=spec.seed, operations=spec.operations,
+    ))
+    result = run_case(case, defect=params.get("defect"),
+                      sanitize=params.get("sanitize", False))
     return {
         "version": PAYLOAD_VERSION,
         "fuzz": result.to_dict(),

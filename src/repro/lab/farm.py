@@ -45,7 +45,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.lab.clock import BackoffPolicy, Clock
 from repro.lab.gridfile import campaign_id
@@ -53,17 +53,17 @@ from repro.lab.lease import Lease, LeaseBoard
 from repro.lab.scheduler import (
     CampaignReport,
     JobRunner,
+    PathLike,
+    ProcessRunner,
     Scheduler,
     write_journal,
 )
 from repro.lab.spec import RunSpec
-from repro.lab.store import ResultStore, StoreError
+from repro.lab.store import ResultStore, StoreError, git_revision
 from repro.util.stats import Stats
 
 if TYPE_CHECKING:
     from repro.obs.live import HeartbeatWriter
-
-PathLike = Union[str, Path]
 
 BOARD_NAME = "leases.sqlite"
 MANIFEST_NAME = "farm.json"
@@ -128,6 +128,7 @@ class Coordinator:
                                 clock=self.clock)
         self._resumed = 0
         self._checkpoints: List[Dict] = []
+        self.git_rev = git_revision()  # read once, not per checkpoint
 
     def close(self) -> None:
         self.board.close()
@@ -165,7 +166,7 @@ class Coordinator:
         report = self._report(cid, name, specs)
         self._checkpoint(report)
         write_journal(self.store, cid, name, specs, "running", report,
-                      self._checkpoints)
+                      self._checkpoints, self.git_rev)
         return report
 
     def _report(self, cid: str, name: str,
@@ -241,7 +242,8 @@ class Coordinator:
                     last_stored = stored
                     self._checkpoint(report)
                     write_journal(self.store, cid, name, specs,
-                                  "running", report, self._checkpoints)
+                                  "running", report, self._checkpoints,
+                                  self.git_rev)
                 if beat is not None:
                     beat.write(registry=self.stats.registry,
                                progress=report.summary())
@@ -273,7 +275,7 @@ class Coordinator:
         status = ("interrupted" if report.interrupted
                   else "failed" if report.failed else "complete")
         write_journal(self.store, cid, name, specs, status, report,
-                      self._checkpoints)
+                      self._checkpoints, self.git_rev)
         self.stats.gauge_set("lab.farm.wall_s",
                              self.clock.wall() - started)
         if beat is not None:
@@ -292,7 +294,9 @@ class Worker:
     chunks of ``jobs`` through a private :class:`Scheduler` (process
     shards, timeouts, retries and the configurable
     :class:`BackoffPolicy` all come along for free), renewing its
-    outstanding leases between chunks. Results land in the worker's
+    outstanding leases between chunks. One job runner serves every
+    chunk, so with ``jobs > 1`` the spawn workers stay warm for the
+    worker's whole life. Results land in the worker's
     own store; completion is reported under the lease fence, so a
     worker that outlived its lease discards the completion (not the
     result — the merge path dedups identical payloads).
@@ -365,11 +369,11 @@ class Worker:
             waited += self.poll_interval_s
         return LeaseBoard(path, clock=self.clock)
 
-    def _scheduler(self) -> Scheduler:
+    def _scheduler(self, runner: Optional[JobRunner]) -> Scheduler:
         return Scheduler(
             self.store, jobs=self.jobs, timeout_s=self.timeout_s,
             retries=self.retries, backoff=self.backoff,
-            clock=self.clock, stats=self.stats, runner=self.runner,
+            clock=self.clock, stats=self.stats, runner=runner,
         )
 
     def _chunk_error(self, report: CampaignReport,
@@ -423,6 +427,9 @@ class Worker:
             beat = _heartbeat(telemetry_dir(self.farm_dir),
                               self.worker_id, self.clock,
                               self.heartbeat_interval_s, self.stats)
+        own_runner = (ProcessRunner()
+                      if self.runner is None and self.jobs > 1 else None)
+        runner = own_runner if own_runner is not None else self.runner
         batches = 0
         idle_attempts = 0
         try:
@@ -460,7 +467,7 @@ class Worker:
                                            lease.spec_hash, lease.fence,
                                            self.lease_s):
                                 self.stats.add("lab.farm.lease_renewals")
-                    report = self._scheduler().run(
+                    report = self._scheduler(runner).run(
                         [lease.spec for lease in chunk],
                         name="farm:%s" % self.worker_id,
                     )
@@ -481,6 +488,8 @@ class Worker:
                                      "done": self.done,
                                      "stolen": self.stolen},
                            force=True)
+            if own_runner is not None:
+                own_runner.close()
             board.close()
         return {
             "worker": self.worker_id,

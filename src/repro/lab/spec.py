@@ -191,31 +191,35 @@ def bench_spec(config: SystemConfig, scheme: str, workload: str,
     )
 
 
-def fuzz_spec(case: "FuzzCase",
-              config: Optional[SystemConfig] = None) -> RunSpec:
+def fuzz_spec(case: "FuzzCase", sanitize: bool = False,
+              defect: Optional[str] = None) -> RunSpec:
     """The spec of one fuzz case (crash fractions ride in ``params``).
 
     ``case`` is a :class:`repro.fuzz.sampling.FuzzCase`; the machine is
-    the fixed campaign config
-    (:func:`repro.fuzz.executor.campaign_config`) unless overridden.
+    the fixed campaign config. ``sanitize`` and ``defect`` (see
+    :func:`repro.fuzz.executor.run_case`) join ``params`` only when
+    set, so a plain case keeps its hash and its stored cell.
     """
-    if config is None:
-        from repro.fuzz.executor import campaign_config
+    from repro.fuzz.executor import campaign_config
 
-        config = campaign_config()
+    params: Dict = {
+        "index": case.index,
+        "crash_frac": case.crash_frac,
+        "prepare_frac": case.prepare_frac,
+        "attack": case.attack,
+        "attack_seed": case.attack_seed,
+    }
+    if sanitize:
+        params["sanitize"] = True
+    if defect is not None:
+        params["defect"] = defect
     return RunSpec(
         kind="fuzz",
         scheme=case.scheme,
         workload=case.workload,
         operations=case.operations,
         seed=case.seed,
-        config=canonical_config(config),
+        config=canonical_config(campaign_config()),
         crash_and_recover=True,
-        params={
-            "index": case.index,
-            "crash_frac": case.crash_frac,
-            "prepare_frac": case.prepare_frac,
-            "attack": case.attack,
-            "attack_seed": case.attack_seed,
-        },
+        params=params,
     )

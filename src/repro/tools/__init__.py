@@ -20,3 +20,15 @@ def positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(
             "must be at least 1, got %d" % value)
     return value
+
+
+def positive_float(text: str) -> float:
+    """argparse ``type=`` for durations, which must be above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "invalid float value: %r" % text) from None
+    if not value > 0:  # also rejects nan
+        raise argparse.ArgumentTypeError("must be above 0, got %s" % text)
+    return value

@@ -1,6 +1,13 @@
 """Tests for the crash-consistency fuzzing campaign engine."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.errors import ConfigError
 from repro.fuzz import (
@@ -79,12 +86,30 @@ class TestCampaign:
         assert tampered, "campaign never exercised an attack"
         assert all(r.detected_by is not None for r in tampered)
 
-    def test_parallel_matches_serial(self):
-        spec = CampaignSpec(cases=12, seed=6, attack_rate=0.5)
-        serial = run_campaign(spec, jobs=1)
-        parallel = run_campaign(spec, jobs=2)
+    @pytest.mark.parametrize("sanitize,defect", [
+        (False, None), (True, None), (False, "skip-root-verify"),
+    ], ids=["plain", "sanitize", "skip-root-verify"])
+    def test_parallel_matches_serial(self, sanitize, defect):
+        spec = CampaignSpec(cases=12, seed=6, attack_rate=0.5,
+                            defect=defect)
+        serial = run_campaign(spec, jobs=1, sanitize=sanitize)
+        parallel = run_campaign(spec, jobs=2, sanitize=sanitize)
         assert ([r.to_dict() for r in serial.results]
                 == [r.to_dict() for r in parallel.results])
+
+    def test_serial_campaign_imports_no_lab_module(self):
+        """``jobs=1`` is the reference loop and sits inside timed
+        benchmark set-up, so loading the executor must not pull in the
+        lab (only ``jobs > 1`` does)."""
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        code = ("import sys, repro.fuzz.executor; print(' '.join("
+                "m for m in sys.modules if m.startswith('repro.lab')))")
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src), check=True,
+            capture_output=True, text=True, timeout=60,
+        ).stdout
+        assert out.split() == []
 
     def test_case_replays_identically(self):
         spec = CampaignSpec(cases=8, seed=7, attack_rate=1.0)

@@ -3,17 +3,26 @@ graceful draining, sharded == serial.
 
 Failure-path tests script outcomes through a fake runner driven by
 ``FakeClock``, so no real processes hang and no real time passes.
-The equivalence tests execute real (tiny) cells.
+The equivalence and warm-worker tests execute real (tiny) cells.
 """
 
 import json
+import multiprocessing
+from multiprocessing.context import SpawnProcess
 
 import pytest
 
+import repro.lab.scheduler as scheduler_module
 from repro.bench.runner import config_for_scale
 from repro.errors import ConfigError
 from repro.lab.clock import BackoffPolicy, FakeClock
-from repro.lab.scheduler import Scheduler, find_journal, read_journals
+from repro.lab.scheduler import (
+    ProcessRunner,
+    Scheduler,
+    _worker_main,
+    find_journal,
+    read_journals,
+)
 from repro.lab.spec import bench_spec
 from repro.lab.store import ResultStore
 from repro.util.stats import Stats
@@ -181,6 +190,29 @@ class TestFailurePaths:
         assert find_journal(store, journal["campaign_id"][:6])
 
 
+    def test_abort_leaves_inflight_cells_unfinished(self, tmp_path):
+        specs = real_specs(count=2)
+        script = {spec.spec_hash: [None] for spec in specs}  # both hang
+        store = ResultStore(tmp_path / "lab")
+        scheduler = Scheduler(store, jobs=2, clock=FakeClock(),
+                              runner=FakeRunner(script))
+
+        class AbortOnceBothRun(FakeRunner):
+            def start(inner, spec, clock):
+                handle = FakeRunner.start(inner, spec, clock)
+                if len(inner.handles) == 2:
+                    scheduler.request_stop()
+                    scheduler.request_stop()
+                return handle
+
+        scheduler.runner = AbortOnceBothRun(script)
+        report = scheduler.run(specs, name="aborted")
+        # the killed cells are neither done nor failed: still to run
+        assert all(handle.stopped for handle in scheduler.runner.handles)
+        assert report.interrupted and report.remaining == 2
+        assert read_journals(store)[0]["status"] == "interrupted"
+
+
 class TestResumeEquivalence:
     def test_kill_and_resume_is_bit_identical_to_serial(self, tmp_path):
         specs = real_specs()
@@ -219,3 +251,81 @@ class TestResumeEquivalence:
         report = Scheduler(sharded, jobs=2, timeout_s=120).run(specs)
         assert report.completed == len(specs) and report.ok
         assert export_text(sharded) == export_text(serial)
+
+
+# ----------------------------------------------------------------------
+# warm worker slots (real spawn processes)
+# ----------------------------------------------------------------------
+@pytest.fixture
+def spawn_count(monkeypatch):
+    """Count spawn-context process starts."""
+    starts = []
+    original = SpawnProcess.start
+
+    def start(process):
+        starts.append(process)
+        original(process)
+
+    monkeypatch.setattr(SpawnProcess, "start", start)
+    return starts
+
+
+class TestWarmWorkers:
+    def test_two_slots_serve_four_cells_with_two_workers(
+            self, tmp_path, spawn_count):
+        report = Scheduler(ResultStore(tmp_path / "lab"), jobs=2,
+                           timeout_s=120).run(real_specs(4))
+        assert report.completed == 4 and report.ok
+        assert len(spawn_count) == 2
+
+    def test_timeout_kill_replaces_the_slot(self, tmp_path, spawn_count):
+        slow = bench_spec(CONFIG, "star", "array", 10 ** 7, seed=7)
+        fast = real_specs(count=1)[0]
+        stats = Stats(enabled=True)
+        runner = ProcessRunner()
+        try:
+            report = Scheduler(
+                ResultStore(tmp_path / "lab", stats=stats), stats=stats,
+                runner=runner, timeout_s=5.0, retries=0,
+            ).run([slow, fast])
+        finally:
+            runner.close()
+        assert report.failed == 1 and report.completed == 1
+        assert report.failures[0]["spec_hash"] == slow.spec_hash
+        assert "timed out" in report.failures[0]["error"]
+        assert stats.get("lab.jobs.timeouts") == 1
+        assert len(spawn_count) == 2  # the killed slot was re-spawned
+
+    def test_run_leaves_no_worker_processes(self, tmp_path):
+        Scheduler(ResultStore(tmp_path / "lab"), jobs=2,
+                  timeout_s=120).run(real_specs(2))
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exits_on_eof_from_its_parent(self):
+        context = multiprocessing.get_context("spawn")
+        parent, child = context.Pipe()
+        worker = context.Process(target=_worker_main, args=(child,))
+        worker.start()
+        child.close()
+        parent.send(real_specs(count=1)[0].to_dict())
+        assert parent.poll(60)
+        status, _payload = parent.recv()
+        assert status == "ok"
+        parent.close()
+        worker.join(timeout=60)
+        assert worker.exitcode == 0
+
+
+def test_one_git_revision_per_run(tmp_path, monkeypatch):
+    calls = []
+
+    def git_revision():
+        calls.append(1)
+        return "abc1234"
+
+    monkeypatch.setattr(scheduler_module, "git_revision", git_revision)
+    store = ResultStore(tmp_path / "lab")
+    report = Scheduler(store).run(real_specs(3))
+    assert report.completed == 3
+    assert len(calls) == 1
+    assert read_journals(store)[0]["git_rev"] == "abc1234"

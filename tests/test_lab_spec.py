@@ -106,3 +106,24 @@ class TestFuzzSpecs:
         assert spec.kind == "fuzz"
         assert spec.params["crash_frac"] == case.crash_frac
         assert spec.params["prepare_frac"] == case.prepare_frac
+
+    def test_plain_case_hash_is_pinned(self):
+        # stored fuzz cells stay cached only while this hash holds
+        case = sample_cases(CampaignSpec(cases=3, seed=4,
+                                         attack_rate=1.0))[0]
+        assert fuzz_spec(case).spec_hash == (
+            "4da34a8fab472baa73e0859b21bdc0d1"
+            "a9c89aa72c17d873d8b5a4ccc8ee6b74"
+        )
+
+    def test_sanitize_and_defect_ride_in_params_only_when_set(self):
+        case = sample_cases(CampaignSpec(cases=1, seed=3))[0]
+        plain = fuzz_spec(case)
+        assert "sanitize" not in plain.params
+        assert "defect" not in plain.params
+        sanitized = fuzz_spec(case, sanitize=True)
+        broken = fuzz_spec(case, defect="skip-root-verify")
+        assert sanitized.params["sanitize"] is True
+        assert broken.params["defect"] == "skip-root-verify"
+        assert len({plain.spec_hash, sanitized.spec_hash,
+                    broken.spec_hash}) == 3

@@ -1,7 +1,11 @@
-"""Tests for the star-run / star-stats / star-trace command-line tools."""
+"""Tests for the star-run / star-stats / star-trace command-line tools
+(and the count flags of star-lab and star-fuzz, which share their
+argparse types)."""
 
 import pytest
 
+from repro.fuzz.cli import main as fuzz_main
+from repro.lab.cli import main as lab_main
 from repro.tools.run import main as run_main
 from repro.tools.stats import main as stats_main
 from repro.tools.trace import main as trace_main
@@ -105,4 +109,42 @@ class TestOperationsFlag:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "--operations: must be at least 1" in err
+        assert "Traceback" not in err
+
+
+class TestCountFlags:
+    """Worker counts, case counts and timeouts outside their range are
+    usage errors in star-lab and star-fuzz, not runs that misbehave."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "--grid", "ci_smoke", "--jobs", "0"],
+         "--jobs: must be at least 1"),
+        (["resume", "--jobs", "-2"], "--jobs: must be at least 1"),
+        (["work", "--farm", "unused", "--jobs", "0"],
+         "--jobs: must be at least 1"),
+        (["run", "--grid", "ci_smoke", "--jobs", "2", "--timeout", "-1"],
+         "--timeout: must be above 0"),
+        (["resume", "--timeout", "0"], "--timeout: must be above 0"),
+        (["work", "--farm", "unused", "--timeout", "0"],
+         "--timeout: must be above 0"),
+    ], ids=["run-jobs", "resume-jobs", "work-jobs", "run-timeout",
+            "resume-timeout", "work-timeout"])
+    def test_star_lab_rejects_bad_counts(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            lab_main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "--jobs", "-3"], "--jobs: must be at least 1"),
+        (["run", "--cases", "0"], "--cases: must be at least 1"),
+    ], ids=["jobs", "cases"])
+    def test_star_fuzz_rejects_bad_counts(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            fuzz_main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
         assert "Traceback" not in err
